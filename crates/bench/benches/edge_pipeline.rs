@@ -19,8 +19,8 @@
 //! * `count_fast_path` — [`kron_gen::count_block_edges`], the closure-free
 //!   counting loop behind `count_edges_streaming` (no sink at all).
 //! * `per_edge_materialise` / `bulk_materialise` — bounds-checked
-//!   `CooMatrix::push` per edge versus the bulk `append_translated` behind
-//!   `GraphBlock::generate`, into a reused COO block.
+//!   `CooMatrix::push` per edge versus the bulk
+//!   `CooMatrix::append_translated`, into a reused COO block.
 //!
 //! Results are printed and written as machine-readable JSON to
 //! `BENCH_edge_pipeline.json` at the workspace root, so successive PRs can

@@ -2,19 +2,13 @@
 //! function of worker count, for both the block-materialising and the
 //! streaming generator.
 
-// The legacy entry points are this benchmark's subject: they are measured
-// against the pipeline on purpose.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use rayon::prelude::*;
 
 use kron_bench::paper;
 use kron_core::{KroneckerDesign, SelfLoop};
-use kron_gen::{
-    count_block_edges, stream_block_edges, GeneratorConfig, ParallelGenerator, Partition,
-};
+use kron_gen::{count_block_edges, stream_block_edges_into, EdgeChunk, Partition, Pipeline};
 
 fn design() -> KroneckerDesign {
     KroneckerDesign::from_star_points(paper::MACHINE_SCALE, SelfLoop::None).expect("valid design")
@@ -32,14 +26,12 @@ fn bench_generation_rate(c: &mut Criterion) {
             BenchmarkId::new("materialised", workers),
             &workers,
             |b, &workers| {
-                let generator = ParallelGenerator::new(GeneratorConfig {
-                    workers,
-                    max_c_edges: 200_000,
-                    max_total_edges: 60_000_000,
-                });
                 b.iter(|| {
-                    generator
-                        .generate_with_split(&design, paper::MACHINE_SCALE_SPLIT)
+                    Pipeline::for_design(&design)
+                        .workers(workers)
+                        .split_index(paper::MACHINE_SCALE_SPLIT)
+                        .max_c_edges(200_000)
+                        .collect_coo()
                         .expect("generation succeeds")
                         .edge_count()
                 });
@@ -68,7 +60,9 @@ fn bench_generation_rate(c: &mut Criterion) {
                 });
             },
         );
-        // Per-edge closure baseline, same partitioning and factor realisation.
+        // Per-edge closure baseline, same partitioning and factor
+        // realisation: the chunked expansion handing every edge to a
+        // closure one at a time.
         group.bench_with_input(
             BenchmarkId::new("streaming_per_edge", workers),
             &workers,
@@ -79,12 +73,18 @@ fn bench_generation_rate(c: &mut Criterion) {
                         .into_par_iter()
                         .map(|worker| {
                             let mut checksum = 0u64;
-                            let produced = stream_block_edges(
+                            let mut chunk = EdgeChunk::with_default_capacity();
+                            let produced = stream_block_edges_into(
                                 &triples[partition.range(worker)],
                                 &c,
-                                |row, col| {
-                                    checksum =
-                                        checksum.wrapping_add(row).rotate_left(1).wrapping_add(col);
+                                &mut chunk,
+                                |edges| {
+                                    for &(row, col) in edges {
+                                        checksum = checksum
+                                            .wrapping_add(row)
+                                            .rotate_left(1)
+                                            .wrapping_add(col);
+                                    }
                                 },
                             );
                             criterion::black_box(checksum);

@@ -1,16 +1,17 @@
-//! Out-of-core shard driver throughput.
+//! Out-of-core pipeline throughput (the rows keep the names of the shard
+//! driver that first ran them).
 //!
-//! The shard driver is the path that removes the `max_total_edges` ceiling:
-//! edges stream from the Kronecker expansion through per-worker sinks and a
+//! Edges stream from the Kronecker expansion through per-worker sinks and a
 //! streaming degree histogram, and nothing proportional to the edge count is
-//! ever held in memory.  This bench measures what that costs (and buys)
-//! against the materialising [`ParallelGenerator`]:
+//! ever held in memory unless a terminal asks for it.  This bench measures
+//! what that costs (and buys) against materialising the blocks:
 //!
-//! * `driver_counting_w{N}` — full driver runs (generation + streamed
-//!   histogram + validation-ready measurement) with counting sinks, across
-//!   worker counts: the Figure-3 sweep as the driver runs it.
-//! * `materialise_generator_w{N}` — the materialising generator on the same
-//!   design, for the memory-bound comparison.
+//! * `driver_counting_w{N}` — full `Pipeline::count` runs (generation +
+//!   streamed histogram + validation-ready measurement) across worker
+//!   counts: the Figure-3 sweep.
+//! * `materialise_generator_w{N}` — `Pipeline::collect_coo` on the same
+//!   design, every edge held in per-worker COO blocks, for the memory-bound
+//!   comparison.
 //! * `driver_tsv_w4` / `driver_binary_w4` (small design) — the historical
 //!   disk points.  At 276 K edges these are dominated by per-run fixed
 //!   costs (shard fsyncs, directory syncs, the manifest), so they price a
@@ -27,16 +28,12 @@
 //! track the trajectory.  Pass `--smoke` for a seconds-long single-sample
 //! sanity sweep (used by CI) that exercises every sink but records nothing.
 
-// The legacy driver and generator entry points are this benchmark's
-// subject: they are measured against each other on purpose.
-#![allow(deprecated)]
-
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use kron_bench::provenance;
 use kron_core::{KroneckerDesign, SelfLoop};
-use kron_gen::{DriverConfig, GeneratorConfig, ParallelGenerator, ShardDriver};
+use kron_gen::{DesignPipeline, DriverConfig, Pipeline};
 
 /// The paper's `B` factor from Figures 3/4 (13,824,000 edges) for in-memory
 /// paths and the full-design disk sinks, and the same structure minus the
@@ -76,13 +73,14 @@ fn measure(
     }
 }
 
-fn driver(workers: usize) -> ShardDriver {
-    ShardDriver::new(DriverConfig {
+fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
+    let config = DriverConfig {
         workers,
         max_c_edges: 1 << 20,
         max_b_edges: 1 << 24,
         ..DriverConfig::default()
-    })
+    };
+    Pipeline::from_config(design, &config).split_index(BENCH_SPLIT)
 }
 
 /// Total size on disk of the `extension` shards under `dir`, for the
@@ -118,27 +116,19 @@ fn main() {
     if smoke {
         // One fast pass over every path: generation correct, every sink
         // writes, rates are nonzero.  No JSON — a sanity gate, not a record.
-        let run = driver(2)
-            .run_counting(&disk_design, BENCH_SPLIT)
-            .expect("factors fit");
-        assert!(run.validate().is_exact_match());
+        let run = pipeline(&disk_design, 2).count().expect("factors fit");
+        assert!(run.validation.is_exact_match());
         for (sink, result) in [
-            (
-                "tsv",
-                driver(2).run_tsv(&disk_design, BENCH_SPLIT, &shard_dir),
-            ),
-            (
-                "binary",
-                driver(2).run_binary(&disk_design, BENCH_SPLIT, &shard_dir),
-            ),
+            ("tsv", pipeline(&disk_design, 2).write_tsv(&shard_dir)),
+            ("binary", pipeline(&disk_design, 2).write_binary(&shard_dir)),
             (
                 "compressed",
-                driver(2).run_compressed(&disk_design, BENCH_SPLIT, &shard_dir),
+                pipeline(&disk_design, 2).write_compressed(&shard_dir),
             ),
         ] {
-            let (run, files) = result.expect("shards write");
+            let run = result.expect("shards write");
             assert_eq!(run.stats.total_edges, disk_edges, "{sink} lost edges");
-            assert_eq!(files.files.len(), 2, "{sink} shard count");
+            assert_eq!(run.outputs.len(), 2, "{sink} shard count");
             let rate = disk_edges as f64 / run.stats.seconds.max(1e-9) / 1e6;
             assert!(
                 rate > 0.1,
@@ -161,29 +151,22 @@ fn main() {
             edges,
             samples,
             || {
-                let run = driver(workers)
-                    .run_counting(&design, BENCH_SPLIT)
-                    .expect("factors fit");
-                assert!(run.validate().is_exact_match());
+                let run = pipeline(&design, workers).count().expect("factors fit");
+                assert!(run.validation.is_exact_match());
                 run.stats.total_edges
             },
         ));
     }
     for &workers in &[1usize, 4] {
-        let generator = ParallelGenerator::new(GeneratorConfig {
-            workers,
-            max_c_edges: 1 << 20,
-            max_total_edges: 50_000_000,
-        });
         results.push(measure(
             format!("materialise_generator_w{workers}"),
             edges,
             samples,
             || {
-                let graph = generator
-                    .generate_with_split(&design, BENCH_SPLIT)
-                    .expect("fits in memory");
-                graph.edge_count()
+                pipeline(&design, workers)
+                    .collect_coo()
+                    .expect("fits in memory")
+                    .edge_count()
             },
         ));
     }
@@ -195,8 +178,8 @@ fn main() {
         disk_edges,
         samples,
         || {
-            let (run, _) = driver(4)
-                .run_tsv(&disk_design, BENCH_SPLIT, &shard_dir)
+            let run = pipeline(&disk_design, 4)
+                .write_tsv(&shard_dir)
                 .expect("shards write");
             run.stats.total_edges
         },
@@ -206,8 +189,8 @@ fn main() {
         disk_edges,
         samples,
         || {
-            let (run, _) = driver(4)
-                .run_binary(&disk_design, BENCH_SPLIT, &shard_dir)
+            let run = pipeline(&disk_design, 4)
+                .write_binary(&shard_dir)
                 .expect("shards write");
             run.stats.total_edges
         },
@@ -220,8 +203,8 @@ fn main() {
         edges,
         samples,
         || {
-            let (run, _) = driver(4)
-                .run_binary(&design, BENCH_SPLIT, &shard_dir)
+            let run = pipeline(&design, 4)
+                .write_binary(&shard_dir)
                 .expect("shards write");
             run.stats.total_edges
         },
@@ -237,8 +220,8 @@ fn main() {
             edges,
             samples,
             || {
-                let (run, _) = driver(workers)
-                    .run_compressed(&design, BENCH_SPLIT, &shard_dir)
+                let run = pipeline(&design, workers)
+                    .write_compressed(&shard_dir)
                     .expect("shards write");
                 compressed_bytes = shard_bytes(&shard_dir, "kbkz");
                 run.stats.total_edges

@@ -1,15 +1,11 @@
 //! Ablation: streaming edge generation versus materialising per-worker
 //! blocks, at a fixed worker count.
 
-// The legacy entry points are this benchmark's subject: they are measured
-// against the pipeline on purpose.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use kron_bench::paper;
 use kron_core::{KroneckerDesign, SelfLoop};
-use kron_gen::{count_edges_streaming, GeneratorConfig, ParallelGenerator};
+use kron_gen::{count_edges_streaming, Pipeline};
 
 fn bench_stream_vs_materialize(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream_vs_materialize");
@@ -38,14 +34,12 @@ fn bench_stream_vs_materialize(c: &mut Criterion) {
             BenchmarkId::new("materialised_blocks", label),
             &(),
             |b, _| {
-                let generator = ParallelGenerator::new(GeneratorConfig {
-                    workers,
-                    max_c_edges: 200_000,
-                    max_total_edges: 60_000_000,
-                });
                 b.iter(|| {
-                    generator
-                        .generate_with_split(&design, split)
+                    Pipeline::for_design(&design)
+                        .workers(workers)
+                        .split_index(split)
+                        .max_c_edges(200_000)
+                        .collect_coo()
                         .expect("fits")
                         .edge_count()
                 });

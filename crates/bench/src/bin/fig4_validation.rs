@@ -4,7 +4,7 @@
 //! The full-scale design (11,177,649,600 vertices, 1,853,002,140,758 edges,
 //! 6,777,007,252,427 triangles) is predicted analytically and its degree
 //! distribution series printed.  A machine-scale design with the same
-//! structure is then *streamed* through the out-of-core shard driver — the
+//! structure is then *streamed* through the out-of-core pipeline — the
 //! edges are counted and histogrammed but never stored — and the measured
 //! distribution compared point-by-point with the prediction: the figure's
 //! "predicted" and "measured" curves, reproduced in bounded memory.
@@ -42,7 +42,7 @@ fn main() {
         print_distribution_series(&full.degree_distribution(), 24);
     }
 
-    // Machine scale (or smoke scale), streamed through the shard driver and
+    // Machine scale (or smoke scale), streamed through the pipeline and
     // measured from the merged per-worker degree histograms.
     let (points, split, workers) = if smoke {
         (&[3u64, 4, 5][..], 1usize, 2usize)

@@ -11,12 +11,13 @@
 //! 2. Extract the non-zero triples of `B` in column-major (CSC) order and
 //!    hand each of the `N_p` workers a contiguous, equal-size slice
 //!    ([`partition::Partition`]).
-//! 3. Each worker independently forms its block `A_p = B_p ⊗ C`
-//!    ([`block::GraphBlock`]) — no inter-worker communication is needed, and
-//!    every worker produces the same number of edges.
+//! 3. Each worker independently streams its block `A_p = B_p ⊗ C`
+//!    ([`stream::try_stream_block_edges_into`]) — no inter-worker
+//!    communication is needed, and every worker produces the same number of
+//!    edges.
 //! 4. The blocks together are exactly the designed graph; the single
-//!    self-loop of the triangle-control construction is removed from
-//!    whichever block contains it ([`generator::ParallelGenerator`]).
+//!    self-loop of the triangle-control construction is filtered in-stream
+//!    from whichever block contains it ([`source::KroneckerSource`]).
 //! 5. Properties (degree distribution, edge counts, balance, max degree,
 //!    power-law fit, custom metrics) are measured in-stream by the
 //!    pluggable [`metrics`] engine without ever assembling the full graph,
@@ -41,10 +42,8 @@
 //!    O(1) memory (Graph500's shuffle without the `O(V)` table).  Every run
 //!    yields a [`manifest::RunManifest`] reproducibility record — source
 //!    kind and seeds included — written as `manifest.json` next to file
-//!    output.  The earlier entry points — the materialising
-//!    [`generator::ParallelGenerator`] and the out-of-core
-//!    [`driver::ShardDriver`] — survive as deprecated thin wrappers over
-//!    the pipeline.
+//!    output.  The pipeline is the only generation engine; the shard
+//!    formats and their one decoder live in [`writer`] and [`replay`].
 //!
 //! On a shared-memory machine the "processors" are rayon tasks; the
 //! per-worker work and the communication structure (none) are identical to
@@ -54,12 +53,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod chunk;
 pub mod codec;
-pub mod driver;
 pub mod fault;
-pub mod generator;
 pub mod manifest;
 pub mod measure;
 pub mod metrics;
@@ -75,16 +71,13 @@ pub mod stats;
 pub mod stream;
 pub mod writer;
 
-pub use block::GraphBlock;
 pub use chunk::EdgeChunk;
-pub use driver::{DriverConfig, ShardDriver, ShardRun};
 pub use fault::{FaultKind, FaultSchedule, FaultySink, FaultySource, PlannedFault};
-pub use generator::{DistributedGraph, GeneratorConfig, ParallelGenerator};
 pub use manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
     PROGRESS_FILE_NAME,
 };
-pub use measure::{measured_degree_distribution, measured_properties, BalanceReport};
+pub use measure::BalanceReport;
 pub use metrics::{
     MetricContext, MetricObserver, MetricRecord, MetricSuite, MetricsReport, PredicateCountMetric,
     StreamingMetric,
@@ -92,7 +85,7 @@ pub use metrics::{
 pub use partition::Partition;
 pub use permute::FeistelPermutation;
 pub use pipeline::{
-    DesignPipeline, Pipeline, RetryPolicy, RunReport, SelfLoopPolicy, ShardFailure,
+    DesignPipeline, DriverConfig, Pipeline, RetryPolicy, RunReport, SelfLoopPolicy, ShardFailure,
 };
 pub use replay::ReplaySource;
 pub use scaling::{ScalingModel, ScalingPoint};
@@ -104,12 +97,61 @@ pub use source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 pub use split::{choose_split, choose_split_with_fallback, SplitPlan};
 pub use stats::GenerationStats;
 pub use stream::{
-    count_block_edges, count_edges_streaming, stream_block_edges, stream_block_edges_chunked,
-    stream_block_edges_into, try_stream_block_edges_into,
+    count_block_edges, count_edges_streaming, stream_block_edges_into, try_stream_block_edges_into,
 };
-#[allow(deprecated)] // the legacy path must keep compiling at its old address
-pub use writer::stream_blocks_tsv;
-pub use writer::{
-    read_block_bin, shard_checksum, stream_block_tsv, write_block_bin, write_blocks_bin,
-    write_blocks_tsv, BlockFileSet, BlockFormat, Fnv1a,
-};
+pub use writer::{read_block_bin, shard_checksum, BlockFileSet, BlockFormat, Fnv1a};
+
+/// Helpers shared by the crate's unit tests.
+#[cfg(test)]
+mod test_support {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use crate::writer::{BLOCK_MAGIC, BLOCK_VERSION};
+
+    /// A fresh, empty directory of its own for one test: the process id keeps
+    /// concurrent test binaries apart, `name` and a per-process counter keep
+    /// tests (and repeated calls within one test) apart, so parallel tests
+    /// never delete or overwrite each other's files.
+    pub(crate) fn unique_dir(name: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        // ordering: Relaxed — the counter only has to hand out distinct values; nothing is published through it
+        let call = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "kron_gen_test_{}_{name}_{call}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The bytes of a v1 split-array block, assembled from the documented
+    /// layout (see [`BLOCK_VERSION`]): header, every row index, then every
+    /// column index, little-endian.
+    pub(crate) fn split_array_block(nrows: u64, ncols: u64, edges: &[(u64, u64)]) -> Vec<u8> {
+        let mut bytes = BLOCK_MAGIC.to_vec();
+        bytes.extend_from_slice(&BLOCK_VERSION.to_le_bytes());
+        for field in [nrows, ncols, edges.len() as u64] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        for &(row, _) in edges {
+            bytes.extend_from_slice(&row.to_le_bytes());
+        }
+        for &(_, col) in edges {
+            bytes.extend_from_slice(&col.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn split_array_fixture_matches_the_removed_v1_writer() {
+        // FNV-1a of the block the removed v1 writer (`write_block_bin`) wrote
+        // for this five-edge 4 × 4 fixture.
+        let edges = [(0u64, 1u64), (1, 2), (2, 0), (3, 3), (1, 0)];
+        assert_eq!(
+            crate::writer::Fnv1a::hash(&split_array_block(4, 4, &edges)),
+            0xc3a0_f6b9_1901_cc50
+        );
+    }
+}

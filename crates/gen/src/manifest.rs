@@ -897,6 +897,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::unique_dir;
 
     fn sample() -> RunManifest {
         RunManifest {
@@ -1059,9 +1060,7 @@ mod tests {
 
     #[test]
     fn progress_journal_round_trips_with_last_record_winning() {
-        let dir = std::env::temp_dir().join("kron_gen_journal_tests/round_trip");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("journal_round_trip");
         let header = JournalHeader {
             source: "kronecker".into(),
             source_seed: None,
@@ -1105,9 +1104,7 @@ mod tests {
 
     #[test]
     fn progress_journal_tolerates_a_torn_final_append() {
-        let dir = std::env::temp_dir().join("kron_gen_journal_tests/torn");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("journal_torn");
         let header = JournalHeader {
             source: "rmat".into(),
             source_seed: Some(7),
@@ -1143,9 +1140,7 @@ mod tests {
 
     #[test]
     fn progress_journal_requires_a_header_and_a_file() {
-        let dir = std::env::temp_dir().join("kron_gen_journal_tests/missing");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("journal_missing");
         // No journal at all.
         let error = ProgressJournal::read(&dir).unwrap_err();
         assert!(error.to_string().contains(PROGRESS_FILE_NAME), "{error}");
@@ -1188,8 +1183,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("kron_gen_manifest_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("manifest_file_round_trip");
         let path = dir.join(MANIFEST_FILE_NAME);
         let manifest = sample();
         manifest.write_to(&path).unwrap();

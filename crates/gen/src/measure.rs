@@ -1,21 +1,11 @@
-//! Distributed measurement of generated graphs.
+//! Per-worker load balance of a generation run.
 //!
-//! The paper validates generated graphs by measuring their degree
-//! distribution and comparing it with the prediction (Figure 4).  These
-//! helpers measure a [`DistributedGraph`] *block by block* — each worker
-//! contributes a partial degree histogram and the partials are merged — so
-//! the full adjacency matrix never has to be assembled.
+//! The paper's generator gives every processor the same number of edges;
+//! [`BalanceReport`] quantifies that claim from a run's per-worker edge
+//! counts.  (The degree distribution and the rest of the property sheet are
+//! measured in-stream by the [`metrics`](crate::metrics) engine.)
 
-use std::collections::BTreeMap;
-
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-use kron_bignum::BigUint;
-use kron_core::{CoreError, DegreeDistribution, GraphProperties};
-use kron_sparse::triangles::count_triangles_coo;
-
-use crate::generator::DistributedGraph;
 
 /// Per-worker load-balance summary (the paper's "same number of edges on
 /// each processor" claim, quantified).
@@ -32,11 +22,6 @@ pub struct BalanceReport {
 }
 
 impl BalanceReport {
-    /// Build the balance report of a distributed graph.
-    pub fn of(graph: &DistributedGraph) -> Self {
-        BalanceReport::from_worker_counts(graph.edges_per_worker())
-    }
-
     /// Build the balance report of any run from its generation statistics —
     /// the pipeline-era entry point
     /// (`BalanceReport::from_stats(&report.stats)`).
@@ -74,111 +59,25 @@ impl BalanceReport {
     }
 }
 
-/// Measure the degree distribution of a distributed graph without assembling
-/// it: each block produces a partial row-count histogram in parallel and the
-/// partials are merged.
-pub fn measured_degree_distribution(graph: &DistributedGraph) -> DegreeDistribution {
-    let partials: Vec<BTreeMap<u64, u64>> = graph
-        .blocks
-        .par_iter()
-        .map(|block| {
-            let mut rows: BTreeMap<u64, u64> = BTreeMap::new();
-            for &r in block.edges.row_indices() {
-                *rows.entry(r).or_insert(0) += 1;
-            }
-            rows
-        })
-        .collect();
-
-    // Merge per-block row counts into global per-vertex degrees...
-    let mut per_vertex: BTreeMap<u64, u64> = BTreeMap::new();
-    for partial in partials {
-        for (vertex, count) in partial {
-            *per_vertex.entry(vertex).or_insert(0) += count;
-        }
-    }
-    // ...and histogram the degrees.
-    let mut histogram: BTreeMap<u64, u64> = BTreeMap::new();
-    for (_, degree) in per_vertex {
-        *histogram.entry(degree).or_insert(0) += 1;
-    }
-    DegreeDistribution::from_histogram(&histogram)
-}
-
-/// Measure the full property sheet of a distributed graph.  Triangles are
-/// counted on the assembled matrix (exact but memory-bound), so they are
-/// only attempted when the total edge count is at most `max_triangle_edges`.
-pub fn measured_properties(
-    graph: &DistributedGraph,
-    max_triangle_edges: u64,
-) -> Result<GraphProperties, CoreError> {
-    let distribution = measured_degree_distribution(graph);
-    let edges = graph.edge_count();
-    let self_loops: u64 = graph
-        .blocks
-        .iter()
-        .map(|b| b.self_loop_count() as u64)
-        .sum();
-    let triangles = if edges <= max_triangle_edges && self_loops == 0 {
-        let assembled = graph.assemble();
-        Some(BigUint::from(count_triangles_coo(&assembled)?))
-    } else {
-        None
-    };
-    Ok(GraphProperties {
-        vertices: BigUint::from(graph.vertices),
-        edges: BigUint::from(edges),
-        triangles,
-        self_loops: BigUint::from(self_loops),
-        degree_distribution: distribution,
-    })
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // measures the legacy materialising path on purpose
 mod tests {
     use super::*;
-    use crate::generator::{GeneratorConfig, ParallelGenerator};
+    use crate::pipeline::Pipeline;
     use kron_core::{KroneckerDesign, SelfLoop};
 
-    fn generate(points: &[u64], self_loop: SelfLoop, workers: usize) -> DistributedGraph {
-        let design = KroneckerDesign::from_star_points(points, self_loop).unwrap();
-        ParallelGenerator::new(GeneratorConfig {
-            workers,
-            max_c_edges: 10_000,
-            max_total_edges: 5_000_000,
-        })
-        .generate(&design)
-        .unwrap()
-    }
-
-    #[test]
-    fn distributed_distribution_matches_prediction() {
-        for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
-            let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
-            let graph = generate(&[3, 4, 5, 9], self_loop, 6);
-            assert_eq!(
-                measured_degree_distribution(&graph),
-                design.degree_distribution(),
-                "distributed measurement mismatch for {self_loop:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn distributed_properties_match_prediction_exactly() {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
-        let graph = generate(&[3, 4, 5, 9], SelfLoop::Centre, 4);
-        let measured = measured_properties(&graph, 1_000_000).unwrap();
-        assert!(design.properties().exactly_matches(&measured));
-    }
-
-    #[test]
-    fn triangle_counting_skipped_when_over_budget() {
-        let graph = generate(&[3, 4, 5], SelfLoop::None, 2);
-        let measured = measured_properties(&graph, 10).unwrap();
-        assert!(measured.triangles.is_none());
-        assert_eq!(measured.edges, BigUint::from(480u64));
+    fn balance(points: &[u64], workers: usize) -> (BalanceReport, u64, u64) {
+        let design = KroneckerDesign::from_star_points(points, SelfLoop::None).unwrap();
+        let report = Pipeline::for_design(&design)
+            .workers(workers)
+            .max_c_edges(10_000)
+            .count()
+            .unwrap();
+        let c_nnz = report.split.as_ref().unwrap().c_nnz.to_u64().unwrap();
+        (
+            BalanceReport::from_stats(&report.stats),
+            report.edge_count(),
+            c_nnz,
+        )
     }
 
     #[test]
@@ -186,33 +85,27 @@ mod tests {
         // B ends up with 48 triples, which 8 workers divide exactly: the
         // paper's "same number of edges on each processor" claim holds with
         // zero imbalance.
-        let graph = generate(&[3, 4, 5, 9, 16], SelfLoop::None, 8);
-        let report = BalanceReport::of(&graph);
-        assert_eq!(
-            BalanceReport::from_stats(&graph.stats),
-            report,
-            "stats-based and block-based balance reports must agree"
-        );
+        let (report, edges, _) = balance(&[3, 4, 5, 9, 16], 8);
         assert!(report.is_balanced_within(0));
         assert!((report.max_over_mean - 1.0).abs() < 1e-9);
+        assert_eq!(report.edges_per_worker.iter().sum::<u64>(), edges);
         assert_eq!(
-            report.edges_per_worker.iter().sum::<u64>(),
-            graph.edge_count()
+            BalanceReport::from_worker_counts(report.edges_per_worker.clone()),
+            report
         );
 
         // When the triple count does not divide evenly the imbalance is at
         // most one B triple, i.e. nnz(C) edges.
-        let uneven = generate(&[3, 4, 5, 9], SelfLoop::None, 5);
-        let report = BalanceReport::of(&uneven);
-        let c_nnz = uneven.split.c_nnz.to_u64().unwrap();
+        let (report, _, c_nnz) = balance(&[3, 4, 5, 9], 5);
         assert!(report.is_balanced_within(c_nnz));
     }
 
     #[test]
     fn balance_report_degenerate() {
-        let graph = generate(&[2, 2], SelfLoop::None, 1);
-        let report = BalanceReport::of(&graph);
+        let (report, _, _) = balance(&[2, 2], 1);
         assert_eq!(report.max_edges, report.min_edges);
         assert!(report.is_balanced_within(0));
+        let empty = BalanceReport::from_worker_counts(Vec::new());
+        assert_eq!((empty.max_edges, empty.max_over_mean), (0, 1.0));
     }
 }

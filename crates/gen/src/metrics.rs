@@ -6,8 +6,7 @@
 //! buried in the generation loop.  This module owns everything a
 //! [`Pipeline`](crate::pipeline::Pipeline) run measures while edges stream:
 //!
-//! * the **degree histogram** in both adaptive modes from the shard driver
-//!   era — per-worker local [`DegreeAccumulator`] vectors folded as workers
+//! * the **degree histogram** in both adaptive modes — per-worker local [`DegreeAccumulator`] vectors folded as workers
 //!   finish while the peak fits the byte budget, one run-wide
 //!   [`SharedDegreeAccumulator`] (relaxed atomics, `O(vertices)` total)
 //!   beyond it;
@@ -443,7 +442,7 @@ fn vec_of_none(len: usize) -> Vec<Option<Box<dyn MetricObserver>>> {
 /// One worker's view of the run's degree histogram: a private local vector
 /// (fast, `O(vertices)` per concurrent worker) or the run-wide shared
 /// atomic vector (`O(vertices)` total) — see
-/// [`DriverConfig::max_histogram_bytes`](crate::driver::DriverConfig::max_histogram_bytes).
+/// [`DriverConfig::max_histogram_bytes`](crate::pipeline::DriverConfig::max_histogram_bytes).
 enum WorkerDegrees<'a> {
     Local(DegreeAccumulator),
     Shared(&'a SharedDegreeAccumulator),

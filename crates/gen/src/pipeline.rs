@@ -38,10 +38,7 @@
 //! backend, in-memory or on-disk, gets bounded-memory generation *and*
 //! validation.  [`Pipeline::permute_vertices`] inserts an in-stream
 //! [`FeistelPermutation`] relabelling stage: O(1) memory, no permutation
-//! table, seed captured in the manifest.  The legacy
-//! [`ParallelGenerator`](crate::generator::ParallelGenerator) and
-//! [`ShardDriver::run_*`](crate::driver::ShardDriver) entry points are thin
-//! wrappers over this module.
+//! table, seed captured in the manifest.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -54,7 +51,6 @@ use kron_core::{CoreError, GraphProperties, KroneckerDesign};
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
-use crate::driver::DriverConfig;
 use crate::manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
 };
@@ -71,6 +67,81 @@ use crate::stats::GenerationStats;
 use crate::writer::{prepare_directory, shard_checksum, BlockFileSet, BlockFormat};
 
 pub use crate::source::SelfLoopPolicy;
+
+/// Every knob of a [`Pipeline`] run, with its defaults
+/// ([`Pipeline::from_config`]).
+///
+/// There is no total-edge ceiling: the streaming engine never
+/// materialises the product, so only the *factors* carry memory budgets.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DriverConfig {
+    /// Number of workers (rayon tasks; the paper's "processors").
+    pub workers: usize,
+    /// Memory budget for the replicated `C` factor, in stored entries.
+    pub max_c_edges: u64,
+    /// Memory budget for the partitioned `B` factor, in stored entries
+    /// (each worker indexes a shared triple list of this size).
+    pub max_b_edges: u64,
+    /// Capacity of each worker's reusable [`EdgeChunk`].
+    pub chunk_capacity: usize,
+    /// Memory budget for the streaming degree histogram, in bytes.  While
+    /// the peak of per-worker local count vectors — `(concurrent workers
+    /// + 1) × vertices × 8` bytes, since a vector is folded and dropped the
+    /// moment its worker finishes — fits the budget, each worker counts
+    /// privately at full speed; beyond it the run switches to a single
+    /// shared atomic vector — `O(vertices)` total no matter the worker
+    /// count, at the price of one relaxed `fetch_add` per edge.
+    pub max_histogram_bytes: u64,
+}
+
+impl DriverConfig {
+    /// Default worker count.
+    pub const DEFAULT_WORKERS: usize = 4;
+    /// Default memory budget for the replicated `C` factor, in entries.
+    pub const DEFAULT_MAX_C_EDGES: u64 = 1 << 20;
+    /// Default memory budget for the partitioned `B` factor, in entries.
+    pub const DEFAULT_MAX_B_EDGES: u64 = 1 << 24;
+    /// Default streaming-histogram budget, in bytes (1 GiB).
+    pub const DEFAULT_MAX_HISTOGRAM_BYTES: u64 = 1 << 30;
+
+    /// [`DriverConfig::DEFAULT_WORKERS`] clamped to the host's available
+    /// parallelism, with a warning when the clamp engaged.
+    ///
+    /// Oversubscribing a small host costs real throughput (the Figure-3
+    /// sweep measured 8 workers *slower* than 4 on a 4-thread machine), so
+    /// a pipeline whose worker count was never chosen by the caller runs at
+    /// most `available` workers.  Only the *default* is clamped: an explicit
+    /// worker count — `Pipeline::workers`, a populated [`DriverConfig`], or
+    /// a resume matching its journal — is always honoured, because the
+    /// worker count is part of a run's deterministic configuration (shard
+    /// layout and journal compatibility depend on it).
+    pub fn clamped_default_workers(available: usize) -> (usize, Option<String>) {
+        if available == 0 || available >= Self::DEFAULT_WORKERS {
+            (Self::DEFAULT_WORKERS, None)
+        } else {
+            (
+                available,
+                Some(format!(
+                    "default worker count {} exceeds the host's available parallelism; \
+                     running {available} worker(s) — set workers explicitly to override",
+                    Self::DEFAULT_WORKERS
+                )),
+            )
+        }
+    }
+}
+
+impl Default for DriverConfig {
+    fn default() -> Self {
+        DriverConfig {
+            workers: DriverConfig::DEFAULT_WORKERS,
+            max_c_edges: DriverConfig::DEFAULT_MAX_C_EDGES,
+            max_b_edges: DriverConfig::DEFAULT_MAX_B_EDGES,
+            chunk_capacity: EdgeChunk::DEFAULT_CAPACITY,
+            max_histogram_bytes: DriverConfig::DEFAULT_MAX_HISTOGRAM_BYTES,
+        }
+    }
+}
 
 /// How a pipeline run responds to a *transient* worker failure — a sink
 /// write error, a source read hiccup — before giving up on the shard: the
@@ -679,9 +750,13 @@ impl<S: EdgeSource> Pipeline<S> {
                             &mut chunk,
                             &mut observe,
                         ),
-                        BlockFormat::Binary | BlockFormat::Compressed => {
-                            stream_binary_shard(&skip.path, vertices, &mut chunk, &mut observe)
-                        }
+                        BlockFormat::Binary | BlockFormat::Compressed => stream_binary_shard(
+                            &skip.path,
+                            Some((vertices, vertices)),
+                            &mut chunk,
+                            &mut observe,
+                        )
+                        .map(|header| header.nnz),
                     }
                     .map_err(CoreError::Sparse)?;
                     metrics.finish();
@@ -1090,6 +1165,7 @@ mod tests {
     use super::*;
     use crate::manifest::MANIFEST_FILE_NAME;
     use crate::sink::{DegreeOnlySink, FilterMapSink, TeeSink};
+    use crate::test_support::unique_dir;
     use kron_bignum::BigUint;
     use kron_core::validate::measure_from_histogram;
     use kron_core::SelfLoop;
@@ -1102,12 +1178,31 @@ mod tests {
             .chunk_capacity(512)
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("kron_gen_pipeline_tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    #[test]
+    fn default_workers_clamp_only_below_the_default() {
+        // At or above the default (or an unknown parallelism, reported as
+        // 0): the default stands, no warning.
+        for available in [0usize, DriverConfig::DEFAULT_WORKERS, 64] {
+            let (workers, note) = DriverConfig::clamped_default_workers(available);
+            assert_eq!(workers, DriverConfig::DEFAULT_WORKERS);
+            assert!(note.is_none(), "no clamp expected at available={available}");
+        }
+        // Below it: clamp to the host and say so.
+        for available in 1..DriverConfig::DEFAULT_WORKERS {
+            let (workers, note) = DriverConfig::clamped_default_workers(available);
+            assert_eq!(workers, available);
+            let note = note.expect("clamping must warn");
+            assert!(note.contains("available parallelism"), "{note}");
+        }
+    }
+
+    #[test]
+    fn more_workers_than_triples_still_validates() {
+        let design = KroneckerDesign::from_star_points(&[2, 2], SelfLoop::Centre).unwrap();
+        let report = pipeline(&design, 32).split_index(1).count().unwrap();
+        assert_eq!(BigUint::from(report.edge_count()), design.edges());
+        assert!(report.validation.is_exact_match());
+        assert_eq!(report.outputs.len(), 32);
     }
 
     #[test]
@@ -1182,7 +1277,7 @@ mod tests {
     #[test]
     fn write_binary_emits_a_manifest_that_matches_the_run() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let dir = temp_dir("manifest_binary");
+        let dir = unique_dir("manifest_binary");
         let report = pipeline(&design, 3)
             .split_index(1)
             .write_binary(&dir)
@@ -1218,7 +1313,7 @@ mod tests {
     #[test]
     fn write_tsv_round_trips_and_emits_a_manifest() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Leaf).unwrap();
-        let dir = temp_dir("manifest_tsv");
+        let dir = unique_dir("manifest_tsv");
         let report = pipeline(&design, 2).split_index(2).write_tsv(&dir).unwrap();
         assert!(report.is_valid());
         let files = report.files.as_ref().expect("tsv run produces files");
@@ -1530,7 +1625,7 @@ mod tests {
     #[test]
     fn permutation_seed_round_trips_through_the_manifest() {
         let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
-        let dir = temp_dir("permuted_manifest");
+        let dir = unique_dir("permuted_manifest");
         let report = pipeline(&design, 2)
             .split_index(1)
             .permute_vertices(99)

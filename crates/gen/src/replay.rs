@@ -25,10 +25,10 @@
 //! ```
 //!
 //! Shards stream through the same bounded-memory chunk machinery as
-//! generation: TSV shards line by line, interleaved (v2) binary shards in
-//! fixed 64 KiB slabs, and split-array (v1) binary shards through two
-//! cursors walking the row and column segments in lockstep.  Every I/O or
-//! parse failure names the shard it occurred in
+//! generation: TSV shards line by line, binary shards through the one
+//! binary decoder (`stream_binary_shard`, which
+//! [`read_block_bin`](crate::writer::read_block_bin) also collects from).
+//! Every I/O or parse failure names the shard it occurred in
 //! ([`SparseError::WithPath`]), so one corrupt file in a thousand-shard set
 //! is identifiable from the error alone.
 
@@ -46,8 +46,8 @@ use crate::partition::Partition;
 use crate::source::{EdgeSource, SourceDescriptor, SourceRun};
 use crate::split::SplitPlan;
 use crate::writer::{
-    le_u64, read_block_header, BlockFileSet, BlockFormat, Fnv1a, BLOCK_HEADER_LEN, BLOCK_VERSION,
-    BLOCK_VERSION_COMPRESSED,
+    read_block_header, BlockFileSet, BlockFormat, BlockHeader, Fnv1a, BLOCK_HEADER_LEN,
+    BLOCK_VERSION, BLOCK_VERSION_COMPRESSED,
 };
 
 /// An [`EdgeSource`] that streams an existing shard set back through the
@@ -241,7 +241,9 @@ impl SourceRun for ReplayRun {
                     &mut sink,
                 ),
                 BlockFormat::Binary | BlockFormat::Compressed => {
-                    stream_binary_shard(file, self.source.vertices, chunk, &mut sink)
+                    let vertices = self.source.vertices;
+                    stream_binary_shard(file, Some((vertices, vertices)), chunk, &mut sink)
+                        .map(|header| header.nnz)
                 }
             }?;
         }
@@ -300,7 +302,7 @@ fn shard_error<E: From<SparseError>>(path: &Path, error: SparseError) -> E {
 #[inline]
 fn push_edge<E, F>(
     path: &Path,
-    vertices: u64,
+    (nrows, ncols): (u64, u64),
     chunk: &mut EdgeChunk,
     sink: &mut F,
     row: u64,
@@ -310,14 +312,14 @@ where
     E: From<SparseError>,
     F: FnMut(&[(u64, u64)]) -> Result<(), E>,
 {
-    if row >= vertices || col >= vertices {
+    if row >= nrows || col >= ncols {
         return Err(shard_error(
             path,
             SparseError::IndexOutOfBounds {
                 row,
                 col,
-                nrows: vertices,
-                ncols: vertices,
+                nrows,
+                ncols,
             },
         ));
     }
@@ -399,7 +401,7 @@ where
                 "edge ({row}, {col}) out of bounds for {vertices} vertices"
             )));
         }
-        push_edge(path, vertices, chunk, sink, row, col)?;
+        push_edge(path, (vertices, vertices), chunk, sink, row, col)?;
         delivered += 1;
     }
     if let Some(expected) = expected_checksum {
@@ -415,20 +417,26 @@ where
     Ok(delivered)
 }
 
-/// Stream one binary shard through the chunk in bounded buffers: v4
-/// delta/varint frames one bounded slab at a time, v2/v3 interleaved pairs
-/// slab by slab, v1 split arrays through two cursors walking the row and
-/// column segments in lockstep.  v3/v4 shards carry their payload checksum
-/// in the header; it is verified as the shard streams, and a mismatch fails
-/// with [`SparseError::ChecksumMismatch`] naming the shard — including when
-/// the corruption first surfaces as an undecodable frame or an
-/// out-of-bounds edge mid-stream.
+/// Stream one binary shard through the chunk in bounded buffers — the one
+/// decoder every binary layout goes through, whether the edges feed a
+/// replay run or [`read_block_bin`](crate::writer::read_block_bin) collects
+/// them: v4 delta/varint frames one frame at a time, v2/v3 interleaved
+/// pairs in 64 KiB slabs, v1 split arrays through two cursors walking the
+/// row and column segments in lockstep.
+///
+/// Every index is bounds-checked against `bounds` (`rows × cols`), or
+/// against the header's own `nrows × ncols` when `bounds` is `None`.  v3/v4
+/// shards carry their payload checksum in the header; it is verified as the
+/// shard streams, and a mismatch fails with [`SparseError::ChecksumMismatch`]
+/// naming the shard — including when the corruption first surfaces as an
+/// undecodable frame or an out-of-bounds edge mid-stream.  Returns the
+/// validated header.
 pub(crate) fn stream_binary_shard<E, F>(
     path: &Path,
-    vertices: u64,
+    bounds: Option<(u64, u64)>,
     chunk: &mut EdgeChunk,
     sink: &mut F,
-) -> Result<u64, E>
+) -> Result<BlockHeader, E>
 where
     E: From<SparseError>,
     F: FnMut(&[(u64, u64)]) -> Result<(), E>,
@@ -438,186 +446,205 @@ where
         .metadata()
         .map_err(|e| shard_error(path, e.into()))?
         .len();
-    let mut reader = BufReader::with_capacity(1 << 18, &file);
-    // The single owner of the header format (shared with read_block_bin)
-    // validates magic, version, and the declared count against the actual
-    // file length before anything streams.
+    let mut reader = BufReader::with_capacity(1 << 18, file);
+    // The single owner of the header format validates magic, version, and
+    // the declared count against the actual file length before anything
+    // streams.
     let header = read_block_header(file_len, &mut reader).map_err(|e| shard_error(path, e))?;
-    let (version, nnz) = (header.version, header.nnz);
-
-    if version == BLOCK_VERSION_COMPRESSED {
-        // Delta/varint frames, one bounded slab per frame: read each
-        // frame's 8-byte header, then its body (at most ~1.3 MiB for a
-        // full frame of worst-case varints), hashing everything so the
-        // header checksum is verified once the payload is exhausted.
-        let mut hasher = Fnv1a::new();
-        let mut body = Vec::new();
-        let mut frame = Vec::new();
-        let mut decoded = 0u64;
-        let mut remaining = header
-            .payload_len
-            // lint:allow(no-expect) -- read_block_header always sets payload_len for v4
-            .expect("v4 header carries a payload length");
-        while remaining > 0 {
-            let mut frame_head = [0u8; codec::FRAME_HEADER_LEN];
-            if remaining < codec::FRAME_HEADER_LEN as u64 {
-                return Err(shard_error(
-                    path,
-                    SparseError::Parse {
-                        line: 0,
-                        message: "compressed shard payload ends mid frame header".into(),
-                    },
-                ));
-            }
-            reader
-                .read_exact(&mut frame_head)
-                .map_err(|e| shard_error(path, e.into()))?;
-            hasher.update(&frame_head);
-            remaining -= codec::FRAME_HEADER_LEN as u64;
-            let (count, byte_len) = codec::frame_header(&frame_head);
-            if u64::from(byte_len) > remaining {
-                return Err(shard_error(
-                    path,
-                    SparseError::Parse {
-                        line: 0,
-                        message: format!(
-                            "compressed shard frame declares {byte_len} bytes but only {remaining} remain"
-                        ),
-                    },
-                ));
-            }
-            body.resize(byte_len as usize, 0);
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| shard_error(path, e.into()))?;
-            hasher.update(&body);
-            remaining -= u64::from(byte_len);
-            let mut failure: Option<E> = None;
-            match codec::decode_frame(count, &body, &mut frame) {
-                Err(e) => failure = Some(E::from(shard_error(path, e))),
-                Ok(()) => {
-                    decoded += u64::from(count);
-                    for &(row, col) in &frame {
-                        if let Err(e) = push_edge(path, vertices, chunk, sink, row, col) {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(err) = failure {
-                // A corrupt varint decodes to garbage — an undecodable
-                // frame or a wildly out-of-range edge — long before the
-                // end-of-payload checksum would run.  Prefer reporting the
-                // cause over the symptom: hash the unread remainder and, if
-                // the stored checksum disagrees, the shard is corrupt.
-                // When the checksum *does* match (a genuine downstream
-                // failure over an intact shard), the original error stands.
-                if let Some(expected) = header.checksum {
-                    let mut drain = vec![0u8; 1 << 16];
-                    while remaining > 0 {
-                        let take = remaining.min(drain.len() as u64) as usize;
-                        if reader.read_exact(&mut drain[..take]).is_err() {
-                            break;
-                        }
-                        hasher.update(&drain[..take]);
-                        remaining -= take as u64;
-                    }
-                    let actual = hasher.finish();
-                    if remaining == 0 && actual != expected {
-                        return Err(E::from(shard_error(
-                            path,
-                            SparseError::ChecksumMismatch { expected, actual },
-                        )));
-                    }
-                }
-                return Err(err);
-            }
+    let bounds = bounds.unwrap_or((header.nrows, header.ncols));
+    let mut payload = Payload {
+        reader,
+        // read_block_header has checked 16 × nnz against the file length.
+        remaining: header.payload_len.unwrap_or(16 * header.nnz),
+        hasher: header.checksum.map(|_| Fnv1a::new()),
+    };
+    let mut emit = |row, col| push_edge(path, bounds, chunk, sink, row, col);
+    let decoded = match header.version {
+        BLOCK_VERSION_COMPRESSED => decode_frames(path, &mut payload, &mut emit),
+        BLOCK_VERSION => decode_split_arrays(path, header.nnz, &mut payload, &mut emit),
+        _ => decode_pairs(path, &mut payload, &mut emit),
+    };
+    let decoded = match (decoded, header.checksum) {
+        (Ok(decoded), Some(expected)) => {
+            payload.verify(expected).map_err(|e| shard_error(path, e))?;
+            decoded
         }
-        if let Some(expected) = header.checksum {
-            let actual = hasher.finish();
-            if actual != expected {
-                return Err(shard_error(
-                    path,
-                    SparseError::ChecksumMismatch { expected, actual },
-                ));
-            }
+        (Ok(decoded), None) => decoded,
+        // Corrupt bytes decode to garbage — an undecodable frame or a
+        // wildly out-of-range edge — long before the end-of-payload
+        // checksum would run.  Report the cause, not the symptom: hash the
+        // unread remainder, and if the stored checksum disagrees the shard
+        // is corrupt.  When it matches (a genuine downstream failure over
+        // an intact shard) the original error stands.
+        (Err(error), Some(expected)) => {
+            return Err(match payload.drain_and_verify(expected) {
+                Err(mismatch) => shard_error(path, mismatch),
+                Ok(()) => error,
+            })
         }
-        if decoded != nnz {
-            return Err(shard_error(
-                path,
-                SparseError::Parse {
-                    line: 0,
-                    message: format!(
-                        "compressed shard declares {nnz} entries but its frames decode {decoded}"
-                    ),
-                },
-            ));
-        }
-    } else if version != BLOCK_VERSION {
-        // Interleaved (row, col) pairs: 4096 at a time.
-        let mut buffer = [0u8; 16 * 4096];
-        let mut remaining = nnz;
-        let mut hasher = Fnv1a::new();
-        while remaining > 0 {
-            let pairs = remaining.min(4096) as usize;
-            let bytes = &mut buffer[..16 * pairs];
-            reader
-                .read_exact(bytes)
-                .map_err(|e| shard_error(path, e.into()))?;
-            if header.checksum.is_some() {
-                hasher.update(bytes);
-            }
-            for pair in bytes.chunks_exact(16) {
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(16) halves are exactly 8 bytes
-                let row = le_u64(&pair[..8]);
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(16) halves are exactly 8 bytes
-                let col = le_u64(&pair[8..]);
-                push_edge(path, vertices, chunk, sink, row, col)?;
-            }
-            remaining -= pairs as u64;
-        }
-        if let Some(expected) = header.checksum {
-            let actual = hasher.finish();
-            if actual != expected {
-                return Err(shard_error(
-                    path,
-                    SparseError::ChecksumMismatch { expected, actual },
-                ));
-            }
-        }
-    } else {
-        // Split arrays: a second cursor over the same file walks the column
-        // segment while the buffered reader walks the rows.
-        let mut cols_file = std::fs::File::open(path).map_err(|e| shard_error(path, e.into()))?;
-        cols_file
-            .seek(SeekFrom::Start(BLOCK_HEADER_LEN + 8 * nnz))
-            .map_err(|e| shard_error(path, e.into()))?;
-        let mut cols = BufReader::with_capacity(1 << 18, cols_file);
-        let mut row_bytes = [0u8; 8 * 4096];
-        let mut col_bytes = [0u8; 8 * 4096];
-        let mut remaining = nnz;
-        while remaining > 0 {
-            let run = remaining.min(4096) as usize;
-            reader
-                .read_exact(&mut row_bytes[..8 * run])
-                .map_err(|e| shard_error(path, e.into()))?;
-            cols.read_exact(&mut col_bytes[..8 * run])
-                .map_err(|e| shard_error(path, e.into()))?;
-            for (row, col) in row_bytes[..8 * run]
-                .chunks_exact(8)
-                .zip(col_bytes[..8 * run].chunks_exact(8))
-            {
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(8) yields exactly 8 bytes
-                let row = le_u64(row);
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(8) yields exactly 8 bytes
-                let col = le_u64(col);
-                push_edge(path, vertices, chunk, sink, row, col)?;
-            }
-            remaining -= run as u64;
-        }
+        (Err(error), None) => return Err(error),
+    };
+    if decoded != header.nnz {
+        return Err(shard_error(
+            path,
+            SparseError::Parse {
+                line: 0,
+                message: format!(
+                    "compressed shard declares {} entries but its frames decode {decoded}",
+                    header.nnz
+                ),
+            },
+        ));
     }
     chunk.try_flush(sink)?;
+    Ok(header)
+}
+
+/// A shard's payload after its header: the bytes left to read, hashed as
+/// they are read when the header carries a checksum.
+struct Payload<R> {
+    reader: R,
+    remaining: u64,
+    hasher: Option<Fnv1a>,
+}
+
+impl<R: Read> Payload<R> {
+    /// Read exactly `buf.len()` payload bytes.
+    fn read(&mut self, buf: &mut [u8]) -> Result<(), SparseError> {
+        self.reader.read_exact(buf)?;
+        if let Some(hasher) = &mut self.hasher {
+            hasher.update(buf);
+        }
+        self.remaining -= buf.len() as u64;
+        Ok(())
+    }
+
+    /// Compare the hash of everything read with the stored checksum.
+    fn verify(&self, expected: u64) -> Result<(), SparseError> {
+        let actual = self.hasher.map_or(expected, |hasher| hasher.finish());
+        if actual == expected {
+            Ok(())
+        } else {
+            Err(SparseError::ChecksumMismatch { expected, actual })
+        }
+    }
+
+    /// Hash the unread rest of the payload, then [`Payload::verify`].  A
+    /// payload that cannot be read to its end proves nothing either way.
+    fn drain_and_verify(&mut self, expected: u64) -> Result<(), SparseError> {
+        let mut drain = vec![0u8; 1 << 16];
+        while self.remaining > 0 {
+            let take = self.remaining.min(drain.len() as u64) as usize;
+            if self.read(&mut drain[..take]).is_err() {
+                return Ok(());
+            }
+        }
+        self.verify(expected)
+    }
+}
+
+/// Decode v4 delta/varint frames: each frame's 8-byte header, then its body
+/// (at most ~1.3 MiB for a full frame of worst-case varints).  Returns the
+/// number of entries the frames decode.
+fn decode_frames<R, E>(
+    path: &Path,
+    payload: &mut Payload<R>,
+    emit: &mut impl FnMut(u64, u64) -> Result<(), E>,
+) -> Result<u64, E>
+where
+    R: Read,
+    E: From<SparseError>,
+{
+    let parse = |message: String| shard_error::<E>(path, SparseError::Parse { line: 0, message });
+    let mut body = Vec::new();
+    let mut frame = Vec::new();
+    let mut decoded = 0u64;
+    while payload.remaining > 0 {
+        let mut frame_head = [0u8; codec::FRAME_HEADER_LEN];
+        if payload.remaining < codec::FRAME_HEADER_LEN as u64 {
+            return Err(parse(format!(
+                "compressed shard frame header truncated: {} payload bytes left",
+                payload.remaining
+            )));
+        }
+        payload
+            .read(&mut frame_head)
+            .map_err(|e| shard_error(path, e))?;
+        let (count, byte_len) = codec::frame_header(&frame_head);
+        if u64::from(byte_len) > payload.remaining {
+            return Err(parse(format!(
+                "compressed shard frame declares {byte_len} bytes but the payload ends {} bytes on",
+                payload.remaining
+            )));
+        }
+        body.resize(byte_len as usize, 0);
+        payload.read(&mut body).map_err(|e| shard_error(path, e))?;
+        codec::decode_frame(count, &body, &mut frame).map_err(|e| shard_error(path, e))?;
+        decoded += u64::from(count);
+        for &(row, col) in &frame {
+            emit(row, col)?;
+        }
+    }
+    Ok(decoded)
+}
+
+/// Decode v2/v3 interleaved `(row, col)` pairs, 4096 at a time.
+fn decode_pairs<R, E>(
+    path: &Path,
+    payload: &mut Payload<R>,
+    emit: &mut impl FnMut(u64, u64) -> Result<(), E>,
+) -> Result<u64, E>
+where
+    R: Read,
+    E: From<SparseError>,
+{
+    let mut buffer = [0u8; 16 * 4096];
+    let mut decoded = 0u64;
+    while payload.remaining > 0 {
+        let bytes = &mut buffer[..payload.remaining.min(16 * 4096) as usize];
+        payload.read(bytes).map_err(|e| shard_error(path, e))?;
+        for &[row, col] in bytes.as_chunks::<8>().0.as_chunks::<2>().0 {
+            emit(u64::from_le_bytes(row), u64::from_le_bytes(col))?;
+            decoded += 1;
+        }
+    }
+    Ok(decoded)
+}
+
+/// Decode v1 split arrays: a second cursor over the same file walks the
+/// column segment while the payload reader walks the rows.
+fn decode_split_arrays<R, E>(
+    path: &Path,
+    nnz: u64,
+    payload: &mut Payload<R>,
+    emit: &mut impl FnMut(u64, u64) -> Result<(), E>,
+) -> Result<u64, E>
+where
+    R: Read,
+    E: From<SparseError>,
+{
+    let mut cols_file = std::fs::File::open(path).map_err(|e| shard_error(path, e.into()))?;
+    cols_file
+        .seek(SeekFrom::Start(BLOCK_HEADER_LEN + 8 * nnz))
+        .map_err(|e| shard_error(path, e.into()))?;
+    let mut cols = BufReader::with_capacity(1 << 18, cols_file);
+    let mut row_bytes = [0u8; 8 * 4096];
+    let mut col_bytes = [0u8; 8 * 4096];
+    let mut remaining = nnz;
+    while remaining > 0 {
+        let run = remaining.min(4096) as usize;
+        payload
+            .read(&mut row_bytes[..8 * run])
+            .map_err(|e| shard_error(path, e))?;
+        cols.read_exact(&mut col_bytes[..8 * run])
+            .map_err(|e| shard_error(path, e.into()))?;
+        let rows = row_bytes[..8 * run].as_chunks::<8>().0;
+        let columns = col_bytes[..8 * run].as_chunks::<8>().0;
+        for (&row, &col) in rows.iter().zip(columns) {
+            emit(u64::from_le_bytes(row), u64::from_le_bytes(col))?;
+        }
+        remaining -= run as u64;
+    }
     Ok(nnz)
 }
 
@@ -625,17 +652,8 @@ where
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
-    use crate::writer::write_block_bin;
+    use crate::test_support::{split_array_block, unique_dir};
     use kron_core::{KroneckerDesign, SelfLoop};
-    use kron_sparse::CooMatrix;
-
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("kron_gen_replay_tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn written_run(dir: &Path, format: BlockFormat) -> Vec<(u64, u64)> {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
@@ -678,7 +696,7 @@ mod tests {
             BlockFormat::Binary,
             BlockFormat::Compressed,
         ] {
-            let dir = temp_dir(&format!("stream_{format:?}"));
+            let dir = unique_dir(&format!("stream_{format:?}"));
             let expected = written_run(&dir, format);
             let source = ReplaySource::from_directory(&dir).unwrap();
             assert_eq!(source.format(), format);
@@ -703,7 +721,7 @@ mod tests {
 
     #[test]
     fn idle_workers_warn_and_deliver_nothing() {
-        let dir = temp_dir("idle_workers");
+        let dir = unique_dir("idle_workers");
         let expected = written_run(&dir, BlockFormat::Binary);
         let source = ReplaySource::from_directory(&dir).unwrap();
         let (run, warnings) = source.prepare(5).unwrap();
@@ -725,14 +743,12 @@ mod tests {
 
     #[test]
     fn legacy_split_array_blocks_replay_without_a_manifest() {
-        // write_block_bin emits the v1 split-array layout; replay it through
-        // the two-cursor streamer.
-        let dir = temp_dir("v1_blocks");
-        std::fs::create_dir_all(&dir).unwrap();
+        // A v1 split-array block, assembled from the documented layout;
+        // replay it through the two-cursor streamer.
+        let dir = unique_dir("v1_blocks");
         let edges = vec![(0u64, 1u64), (1, 2), (2, 0), (3, 3), (1, 0)];
-        let block = CooMatrix::from_edges(4, 4, edges.clone()).unwrap();
         let path = dir.join("block_00000.kbk");
-        write_block_bin(&block, &path).unwrap();
+        std::fs::write(&path, split_array_block(4, 4, &edges)).unwrap();
         let set = BlockFileSet {
             directory: dir.clone(),
             files: vec![path],
@@ -756,7 +772,7 @@ mod tests {
 
     #[test]
     fn errors_name_the_failing_shard() {
-        let dir = temp_dir("corrupt");
+        let dir = unique_dir("corrupt");
         let _ = written_run(&dir, BlockFormat::Binary);
         // Corrupt the middle shard's magic.
         let victim = dir.join("block_00001.kbk");
@@ -786,8 +802,7 @@ mod tests {
 
     #[test]
     fn tsv_parse_errors_carry_line_numbers_and_bounds_are_checked() {
-        let dir = temp_dir("bad_tsv");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("bad_tsv");
         let path = dir.join("block_00000.tsv");
         std::fs::write(&path, "0\t1\t1\n# comment\n\nnot-a-number\t2\t1\n").unwrap();
         let set = BlockFileSet {
@@ -821,8 +836,7 @@ mod tests {
     #[test]
     fn directories_without_a_replayable_run_are_rejected() {
         // No manifest at all.
-        let dir = temp_dir("no_manifest");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("no_manifest");
         assert!(ReplaySource::from_directory(&dir).is_err());
 
         // A counting run's manifest has no shards to replay.
@@ -841,7 +855,7 @@ mod tests {
 
     #[test]
     fn zero_workers_rejected() {
-        let dir = temp_dir("zero_workers");
+        let dir = unique_dir("zero_workers");
         let _ = written_run(&dir, BlockFormat::Tsv);
         let source = ReplaySource::from_directory(&dir).unwrap();
         assert!(matches!(
@@ -853,7 +867,7 @@ mod tests {
 
     #[test]
     fn descriptor_reflects_the_replayed_manifest() {
-        let dir = temp_dir("descriptor");
+        let dir = unique_dir("descriptor");
         let _ = written_run(&dir, BlockFormat::Binary);
         let source = ReplaySource::from_directory(&dir).unwrap();
         let (run, _) = source.prepare(2).unwrap();

@@ -112,14 +112,109 @@ pub(crate) fn tmp_shard_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Best-effort fsync of `path`'s parent directory so the rename that put
-/// `path` in place is itself durable.  Failures are ignored: not every
-/// platform lets a directory be opened for syncing, and the shard data
-/// itself is already synced.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
+/// The one owner of a durable shard file, shared by every file-writing
+/// sink, which keeps only its encoding:
+///
+/// * bytes stage at `<path>.tmp` behind a 256 KiB buffered writer;
+/// * a running FNV-1a hash covers the payload — every byte after the
+///   header, never the header itself;
+/// * `finish` patches fixed-offset header fields, fsyncs, renames the file
+///   into place and fsyncs the directory, so the final name only ever holds
+///   a complete shard;
+/// * `abandon` removes the partial, and dropping the file without either
+///   leaves the partial at `.tmp` with one warning on stderr.
+struct AtomicShardFile {
+    writer: Option<BufWriter<std::fs::File>>,
+    path: PathBuf,
+    tmp: PathBuf,
+    hasher: Fnv1a,
+    /// The sink's format, for the dropped-without-finish warning.
+    kind: &'static str,
+    finished: bool,
+}
+
+impl AtomicShardFile {
+    /// Stage a `kind` shard for `path`, starting with its (unhashed)
+    /// `header` bytes.
+    fn create(path: &Path, kind: &'static str, header: &[u8]) -> Result<Self, SparseError> {
+        let tmp = tmp_shard_path(path);
+        let file =
+            std::fs::File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
+        let mut writer = BufWriter::with_capacity(1 << 18, file);
+        writer.write_all(header)?;
+        Ok(AtomicShardFile {
+            writer: Some(writer),
+            path: path.to_path_buf(),
+            tmp,
+            hasher: Fnv1a::new(),
+            kind,
+            finished: false,
+        })
+    }
+
+    /// Append payload bytes, folding them into the checksum.
+    fn write_payload(&mut self, bytes: &[u8]) -> Result<(), SparseError> {
+        self.hasher.update(bytes);
+        match self.writer.as_mut() {
+            Some(writer) => Ok(writer.write_all(bytes)?),
+            None => Err(SparseError::Io(format!(
+                "shard {} written after finish",
+                self.path.display()
+            ))),
+        }
+    }
+
+    /// FNV-1a of every payload byte written so far.
+    fn checksum(&self) -> u64 {
+        self.hasher.finish()
+    }
+
+    /// Patch each `(offset, value)` header field as a little-endian `u64`,
+    /// then fsync → rename → directory fsync.  Returns the final path.
+    fn finish(mut self, patches: &[(u64, u64)]) -> Result<PathBuf, SparseError> {
+        self.finished = true;
+        let Some(writer) = self.writer.take() else {
+            return Err(SparseError::Io("shard finished twice".into()));
+        };
+        let mut file = writer
+            .into_inner()
+            .map_err(|e| SparseError::Io(e.to_string()))?;
+        for &(offset, value) in patches {
+            file.seek(SeekFrom::Start(offset))?;
+            file.write_all(&value.to_le_bytes())?;
+        }
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&self.tmp, &self.path)
+            .map_err(|e| SparseError::with_path(&self.path, e.into()))?;
+        // Best effort: not every platform lets a directory be opened for
+        // syncing, and the shard data itself is already synced.
+        if let Some(parent) = self.path.parent() {
+            if let Ok(dir) = std::fs::File::open(parent) {
+                let _ = dir.sync_all();
+            }
+        }
+        Ok(self.path.clone())
+    }
+
+    /// Throw the partial away: close and remove the staged file.
+    fn abandon(mut self) {
+        self.finished = true;
+        self.writer.take();
+        let _ = std::fs::remove_file(&self.tmp);
+    }
+}
+
+impl Drop for AtomicShardFile {
+    fn drop(&mut self) {
+        if !self.finished && !std::thread::panicking() {
+            eprintln!(
+                "warning: {} shard sink for {} dropped without finish(); \
+                 the partial shard stays at {}",
+                self.kind,
+                self.path.display(),
+                self.tmp.display()
+            );
         }
     }
 }
@@ -206,27 +301,16 @@ impl EdgeSink for CooSink {
 /// ([`EdgeSink::payload_checksum`]) — the sidecar checksum the run's
 /// progress journal and manifest record for later verification.
 pub struct TsvShardSink {
-    writer: Option<BufWriter<std::fs::File>>,
-    path: PathBuf,
-    tmp: PathBuf,
-    hasher: Fnv1a,
+    file: AtomicShardFile,
     scratch: Vec<u8>,
-    finished: bool,
 }
 
 impl TsvShardSink {
     /// Create the shard, staging bytes at `<path>.tmp` until `finish()`.
     pub fn create(path: &Path) -> Result<Self, SparseError> {
-        let tmp = tmp_shard_path(path);
-        let file =
-            std::fs::File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
         Ok(TsvShardSink {
-            writer: Some(BufWriter::with_capacity(1 << 18, file)),
-            path: path.to_path_buf(),
-            tmp,
-            hasher: Fnv1a::new(),
+            file: AtomicShardFile::create(path, "TSV", &[])?,
             scratch: Vec::new(),
-            finished: false,
         })
     }
 }
@@ -239,52 +323,19 @@ impl EdgeSink for TsvShardSink {
         // the bytes that reach the file.
         self.scratch.clear();
         write_tsv_edges(&mut self.scratch, edges)?;
-        self.hasher.update(&self.scratch);
-        self.writer
-            .as_mut()
-            // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
-            .expect("sink used after finish")
-            .write_all(&self.scratch)?;
-        Ok(())
+        self.file.write_payload(&self.scratch)
     }
 
-    fn finish(mut self) -> Result<PathBuf, SparseError> {
-        self.finished = true;
-        // lint:allow(no-expect) -- the finished flag checked above guarantees the writer has not been taken yet
-        let mut writer = self.writer.take().expect("finish called once");
-        writer.flush()?;
-        let file = writer
-            .into_inner()
-            .map_err(|e| SparseError::Io(e.to_string()))?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| SparseError::with_path(&self.path, e.into()))?;
-        sync_parent_dir(&self.path);
-        Ok(self.path.clone())
+    fn finish(self) -> Result<PathBuf, SparseError> {
+        self.file.finish(&[])
     }
 
-    fn abandon(mut self) {
-        self.finished = true;
-        self.writer.take();
-        let _ = std::fs::remove_file(&self.tmp);
+    fn abandon(self) {
+        self.file.abandon();
     }
 
     fn payload_checksum(&self) -> Option<u64> {
-        Some(self.hasher.finish())
-    }
-}
-
-impl Drop for TsvShardSink {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() {
-            eprintln!(
-                "warning: TSV shard sink for {} dropped without finish(); \
-                 the partial shard stays at {}",
-                self.path.display(),
-                self.tmp.display()
-            );
-        }
+        Some(self.file.checksum())
     }
 }
 
@@ -299,37 +350,35 @@ impl Drop for TsvShardSink {
 /// atomically renamed into place by `finish()` after an fsync, so the final
 /// name only ever holds a complete, checksummed shard.
 pub struct BinaryShardSink {
-    writer: Option<BufWriter<std::fs::File>>,
-    path: PathBuf,
-    tmp: PathBuf,
+    file: AtomicShardFile,
     written: u64,
-    hasher: Fnv1a,
     scratch: Vec<u8>,
-    finished: bool,
+}
+
+/// Offset of the entry count in every binary layout version; v3 follows it
+/// with the checksum, v4 with the payload length and then the checksum.
+const COUNT_OFFSET: u64 = BLOCK_HEADER_LEN - 8;
+
+/// A binary block header with the fields `finish()` patches zeroed.
+fn block_header(version: u32, nrows: u64, ncols: u64, patched_fields: usize) -> Vec<u8> {
+    let mut header = BLOCK_MAGIC.to_vec();
+    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&nrows.to_le_bytes());
+    header.extend_from_slice(&ncols.to_le_bytes());
+    header.resize(header.len() + 8 * patched_fields, 0);
+    header
 }
 
 impl BinaryShardSink {
     /// Create the shard for a `nrows × ncols` graph, staging bytes at
     /// `<path>.tmp` until `finish()`.
     pub fn create(path: &Path, nrows: u64, ncols: u64) -> Result<Self, SparseError> {
-        let tmp = tmp_shard_path(path);
-        let file =
-            std::fs::File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
-        let mut writer = BufWriter::with_capacity(1 << 18, file);
-        writer.write_all(&BLOCK_MAGIC)?;
-        writer.write_all(&BLOCK_VERSION_CHECKSUM.to_le_bytes())?;
-        writer.write_all(&nrows.to_le_bytes())?;
-        writer.write_all(&ncols.to_le_bytes())?;
-        writer.write_all(&0u64.to_le_bytes())?; // entry count, patched by finish()
-        writer.write_all(&0u64.to_le_bytes())?; // checksum, patched by finish()
+        // Entry count and checksum, patched by finish().
+        let header = block_header(BLOCK_VERSION_CHECKSUM, nrows, ncols, 2);
         Ok(BinaryShardSink {
-            writer: Some(writer),
-            path: path.to_path_buf(),
-            tmp,
+            file: AtomicShardFile::create(path, "binary", &header)?,
             written: 0,
-            hasher: Fnv1a::new(),
             scratch: Vec::new(),
-            finished: false,
         })
     }
 }
@@ -346,58 +395,23 @@ impl EdgeSink for BinaryShardSink {
             self.scratch.extend_from_slice(&row.to_le_bytes());
             self.scratch.extend_from_slice(&col.to_le_bytes());
         }
-        self.hasher.update(&self.scratch);
-        self.writer
-            .as_mut()
-            // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
-            .expect("sink used after finish")
-            .write_all(&self.scratch)?;
+        self.file.write_payload(&self.scratch)?;
         self.written += edges.len() as u64;
         Ok(())
     }
 
-    fn finish(mut self) -> Result<PathBuf, SparseError> {
-        self.finished = true;
-        // lint:allow(no-expect) -- the finished flag checked above guarantees the writer has not been taken yet
-        let mut writer = self.writer.take().expect("finish called once");
-        writer.flush()?;
-        let mut file = writer
-            .into_inner()
-            .map_err(|e| SparseError::Io(e.to_string()))?;
-        // The count sits at the same offset in every layout version; the
-        // checksum follows it directly in v3.
-        file.seek(SeekFrom::Start(BLOCK_HEADER_LEN - 8))?;
-        file.write_all(&self.written.to_le_bytes())?;
-        file.write_all(&self.hasher.finish().to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| SparseError::with_path(&self.path, e.into()))?;
-        sync_parent_dir(&self.path);
-        Ok(self.path.clone())
+    fn finish(self) -> Result<PathBuf, SparseError> {
+        let checksum = self.file.checksum();
+        self.file
+            .finish(&[(COUNT_OFFSET, self.written), (COUNT_OFFSET + 8, checksum)])
     }
 
-    fn abandon(mut self) {
-        self.finished = true;
-        self.writer.take();
-        let _ = std::fs::remove_file(&self.tmp);
+    fn abandon(self) {
+        self.file.abandon();
     }
 
     fn payload_checksum(&self) -> Option<u64> {
-        Some(self.hasher.finish())
-    }
-}
-
-impl Drop for BinaryShardSink {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() {
-            eprintln!(
-                "warning: binary shard sink for {} dropped without finish(); \
-                 the partial shard stays at {}",
-                self.path.display(),
-                self.tmp.display()
-            );
-        }
+        Some(self.file.checksum())
     }
 }
 
@@ -420,42 +434,25 @@ impl Drop for BinaryShardSink {
 /// fsyncs and atomically renames, so the final name only ever holds a
 /// complete, checksummed shard.
 pub struct CompressedShardSink {
-    writer: Option<BufWriter<std::fs::File>>,
-    path: PathBuf,
-    tmp: PathBuf,
+    file: AtomicShardFile,
     pending: Vec<(u64, u64)>,
     written: u64,
     payload_len: u64,
-    hasher: Fnv1a,
     scratch: Vec<u8>,
-    finished: bool,
 }
 
 impl CompressedShardSink {
     /// Create the shard for a `nrows × ncols` graph, staging bytes at
     /// `<path>.tmp` until `finish()`.
     pub fn create(path: &Path, nrows: u64, ncols: u64) -> Result<Self, SparseError> {
-        let tmp = tmp_shard_path(path);
-        let file =
-            std::fs::File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
-        let mut writer = BufWriter::with_capacity(1 << 18, file);
-        writer.write_all(&BLOCK_MAGIC)?;
-        writer.write_all(&BLOCK_VERSION_COMPRESSED.to_le_bytes())?;
-        writer.write_all(&nrows.to_le_bytes())?;
-        writer.write_all(&ncols.to_le_bytes())?;
-        writer.write_all(&0u64.to_le_bytes())?; // entry count, patched by finish()
-        writer.write_all(&0u64.to_le_bytes())?; // payload length, patched by finish()
-        writer.write_all(&0u64.to_le_bytes())?; // checksum, patched by finish()
+        // Entry count, payload length and checksum, patched by finish().
+        let header = block_header(BLOCK_VERSION_COMPRESSED, nrows, ncols, 3);
         Ok(CompressedShardSink {
-            writer: Some(writer),
-            path: path.to_path_buf(),
-            tmp,
+            file: AtomicShardFile::create(path, "compressed", &header)?,
             pending: Vec::with_capacity(FRAME_EDGES),
             written: 0,
             payload_len: 0,
-            hasher: Fnv1a::new(),
             scratch: Vec::new(),
-            finished: false,
         })
     }
 
@@ -466,12 +463,7 @@ impl CompressedShardSink {
         }
         self.scratch.clear();
         encode_frame(&self.pending, &mut self.scratch);
-        self.hasher.update(&self.scratch);
-        self.writer
-            .as_mut()
-            // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
-            .expect("sink used after finish")
-            .write_all(&self.scratch)?;
+        self.file.write_payload(&self.scratch)?;
         self.payload_len += self.scratch.len() as u64;
         self.written += self.pending.len() as u64;
         self.pending.clear();
@@ -496,31 +488,16 @@ impl EdgeSink for CompressedShardSink {
 
     fn finish(mut self) -> Result<PathBuf, SparseError> {
         self.flush_frame()?;
-        self.finished = true;
-        // lint:allow(no-expect) -- the finished flag checked above guarantees the writer has not been taken yet
-        let mut writer = self.writer.take().expect("finish called once");
-        writer.flush()?;
-        let mut file = writer
-            .into_inner()
-            .map_err(|e| SparseError::Io(e.to_string()))?;
-        // Patch the three fields finish() owns: count at 24, payload length
-        // at 32, checksum at 40.
-        file.seek(SeekFrom::Start(BLOCK_HEADER_LEN - 8))?;
-        file.write_all(&self.written.to_le_bytes())?;
-        file.write_all(&self.payload_len.to_le_bytes())?;
-        file.write_all(&self.hasher.finish().to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| SparseError::with_path(&self.path, e.into()))?;
-        sync_parent_dir(&self.path);
-        Ok(self.path.clone())
+        let checksum = self.file.checksum();
+        self.file.finish(&[
+            (COUNT_OFFSET, self.written),
+            (COUNT_OFFSET + 8, self.payload_len),
+            (COUNT_OFFSET + 16, checksum),
+        ])
     }
 
-    fn abandon(mut self) {
-        self.finished = true;
-        self.writer.take();
-        let _ = std::fs::remove_file(&self.tmp);
+    fn abandon(self) {
+        self.file.abandon();
     }
 
     // payload_checksum() keeps the default `None` on purpose: edges still
@@ -530,21 +507,8 @@ impl EdgeSink for CompressedShardSink {
 
     fn finish_with_checksum(mut self) -> Result<(PathBuf, Option<u64>), SparseError> {
         self.flush_frame()?;
-        let checksum = self.hasher.finish();
+        let checksum = self.file.checksum();
         Ok((self.finish()?, Some(checksum)))
-    }
-}
-
-impl Drop for CompressedShardSink {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() {
-            eprintln!(
-                "warning: compressed shard sink for {} dropped without finish(); \
-                 the partial shard stays at {}",
-                self.path.display(),
-                self.tmp.display()
-            );
-        }
     }
 }
 
@@ -843,8 +807,8 @@ where
 /// An [`EdgeSink`] that relabels both endpoints of every edge through a
 /// seeded [`FeistelPermutation`] before an inner sink sees them — the
 /// pipeline's [`permute_vertices`](crate::pipeline::Pipeline::permute_vertices)
-/// stage as a standalone combinator, so any hand-built sink stack (or a
-/// legacy entry point) can scramble vertex labels in O(1) memory too.
+/// stage as a standalone combinator, so any hand-built sink stack can
+/// scramble vertex labels in O(1) memory too.
 ///
 /// Relabelled chunks are staged in an internal buffer so the inner sink
 /// still receives whole slices; the buffer is reused across chunks, so the
@@ -904,6 +868,7 @@ impl<S: EdgeSink> EdgeSink for PermuteSink<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::unique_dir;
 
     const EDGES: &[(u64, u64)] = &[(0, 1), (1, 1), (2, 0), (3, 3)];
 
@@ -959,16 +924,9 @@ mod tests {
         );
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("kron_gen_sink_tests").join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn shard_sinks_stage_in_tmp_and_rename_on_finish() {
-        let dir = temp_dir("atomic");
+        let dir = unique_dir("atomic");
         let tsv = dir.join("shard.tsv");
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
@@ -991,7 +949,7 @@ mod tests {
 
     #[test]
     fn dropped_sinks_never_produce_a_complete_looking_shard() {
-        let dir = temp_dir("dropped");
+        let dir = unique_dir("dropped");
         let tsv = dir.join("shard.tsv");
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1003,7 +961,7 @@ mod tests {
 
     #[test]
     fn abandon_removes_the_partial_and_stays_silent() {
-        let dir = temp_dir("abandon");
+        let dir = unique_dir("abandon");
         let kbk = dir.join("shard.kbk");
         let mut sink = BinaryShardSink::create(&kbk, 4, 4).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1016,7 +974,7 @@ mod tests {
     #[test]
     fn payload_checksums_match_the_bytes_on_disk() {
         use crate::writer::{shard_checksum, BlockFormat};
-        let dir = temp_dir("checksums");
+        let dir = unique_dir("checksums");
         let tsv = dir.join("shard.tsv");
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1041,7 +999,7 @@ mod tests {
     #[test]
     fn compressed_sink_stages_atomically_and_checksums_its_payload() {
         use crate::writer::{read_block_bin, shard_checksum, BlockFormat};
-        let dir = temp_dir("compressed_atomic");
+        let dir = unique_dir("compressed_atomic");
         let kbkz = dir.join("shard.kbkz");
         let mut sink = CompressedShardSink::create(&kbkz, 4, 4).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1073,7 +1031,7 @@ mod tests {
 
     #[test]
     fn compressed_shard_bytes_are_independent_of_consume_granularity() {
-        let dir = temp_dir("compressed_granularity");
+        let dir = unique_dir("compressed_granularity");
         let edges: Vec<(u64, u64)> = (0..1000u64).map(|i| (i % 64, (i * 7) % 64)).collect();
 
         let whole = dir.join("whole.kbkz");
@@ -1098,7 +1056,7 @@ mod tests {
 
     #[test]
     fn compressed_sink_abandon_and_drop_leave_no_complete_shard() {
-        let dir = temp_dir("compressed_abandon");
+        let dir = unique_dir("compressed_abandon");
         let kbkz = dir.join("shard.kbkz");
         let mut sink = CompressedShardSink::create(&kbkz, 4, 4).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1141,7 +1099,7 @@ mod tests {
 
     #[test]
     fn double_buffered_sink_delegates_and_matches_the_plain_sink() {
-        let dir = temp_dir("double_buffered");
+        let dir = unique_dir("double_buffered");
         let plain = dir.join("plain.kbkz");
         let mut sink = CompressedShardSink::create(&plain, 64, 64).unwrap();
         let edges: Vec<(u64, u64)> = (0..500u64).map(|i| (i % 64, (i * 3) % 64)).collect();
@@ -1188,7 +1146,7 @@ mod tests {
 
     #[test]
     fn double_buffered_sink_abandon_and_drop_remove_the_partial() {
-        let dir = temp_dir("double_buffered_abandon");
+        let dir = unique_dir("double_buffered_abandon");
         let kbkz = dir.join("abandoned.kbkz");
         let mut sink = DoubleBufferedSink::new(CompressedShardSink::create(&kbkz, 4, 4).unwrap());
         sink.consume(EDGES).unwrap();

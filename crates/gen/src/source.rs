@@ -33,9 +33,8 @@ use kron_core::{CoreError, GraphProperties, KroneckerDesign, SelfLoop};
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
-use crate::driver::DriverConfig;
-use crate::generator::self_loop_vertex_index;
 use crate::partition::{csc_ordered_triples, Partition};
+use crate::pipeline::DriverConfig;
 use crate::split::{choose_split_with_fallback, SplitPlan};
 
 /// What a run does with the single removable self-loop of a triangle-control
@@ -423,10 +422,37 @@ fn validate_raw(design: &KroneckerDesign, measured: &GraphProperties) -> Validat
     ])
 }
 
+/// Global index of the product vertex that carries the single self-loop of a
+/// triangle-control design: the mixed-radix combination of each
+/// constituent's self-loop vertex index.
+fn self_loop_vertex_index(design: &KroneckerDesign) -> u64 {
+    let mut index = 0u64;
+    for constituent in design.constituents() {
+        let local = constituent
+            .adjacency()
+            .iter()
+            .find(|&(r, c, _)| r == c)
+            .map(|(r, _, _)| r)
+            .unwrap_or(0);
+        index = index * constituent.vertices() + local;
+    }
+    index
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kron_core::SelfLoop;
+
+    #[test]
+    fn self_loop_vertex_index_cases() {
+        let centre = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::Centre).unwrap();
+        assert_eq!(self_loop_vertex_index(&centre), 0);
+        let leaf = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::Leaf).unwrap();
+        // Leaf vertex of each star is its last vertex, so the product loop is
+        // at the last product vertex.
+        assert_eq!(self_loop_vertex_index(&leaf), 4 * 5 - 1);
+    }
 
     #[test]
     fn kronecker_stream_union_is_the_designed_graph() {

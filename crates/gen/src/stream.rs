@@ -6,9 +6,8 @@
 //! expands its `B`-triple slice against `C` into a reusable [`EdgeChunk`] and
 //! hands the sink whole slices of edges, so the per-edge cost is two adds and
 //! a buffered store — no bounds check, no closure dispatch, no allocation
-//! after the first chunk.  The original per-edge API is kept as a thin
-//! adapter over the chunked one, and a closure-free counting path measures
-//! raw generation throughput (the paper's Figure 3 metric).
+//! after the first chunk.  A closure-free counting path measures raw
+//! generation throughput (the paper's Figure 3 metric).
 
 use rayon::prelude::*;
 
@@ -82,41 +81,6 @@ pub fn stream_block_edges_into<F: FnMut(&[(u64, u64)])>(
     }
 }
 
-/// Stream a block's edges in chunks, allocating the one buffer internally —
-/// sized to the expansion, capped at [`EdgeChunk::DEFAULT_CAPACITY`], so
-/// small blocks do not pay for a full-size buffer.  See
-/// [`stream_block_edges_into`] for the buffer-reusing variant.
-pub fn stream_block_edges_chunked<F: FnMut(&[(u64, u64)])>(
-    b_triples: &[(u64, u64, u64)],
-    c: &CooMatrix<u64>,
-    sink: F,
-) -> u64 {
-    let capacity = b_triples
-        .len()
-        .saturating_mul(c.nnz())
-        .clamp(1, EdgeChunk::DEFAULT_CAPACITY);
-    let mut chunk = EdgeChunk::new(capacity);
-    stream_block_edges_into(b_triples, c, &mut chunk, sink)
-}
-
-/// Stream a block's edges one at a time, calling `sink` once per edge with
-/// global `(row, col)` indices.  Returns the number of edges produced.
-///
-/// This is a thin adapter over the chunked path; use
-/// [`stream_block_edges_into`] directly when the consumer can take whole
-/// slices.
-pub fn stream_block_edges<F: FnMut(u64, u64)>(
-    b_triples: &[(u64, u64, u64)],
-    c: &CooMatrix<u64>,
-    mut sink: F,
-) -> u64 {
-    stream_block_edges_chunked(b_triples, c, |edges| {
-        for &(row, col) in edges {
-            sink(row, col);
-        }
-    })
-}
-
 /// Closure-free counting fast path: run the exact expansion arithmetic of
 /// [`stream_block_edges_into`] — every edge's global indices are computed —
 /// but fold them into two independent accumulators instead of buffering
@@ -174,21 +138,45 @@ mod tests {
     use super::*;
     use kron_core::SelfLoop;
 
+    /// `B` triples and `C` of a design split at `split_index`.
+    fn factors(
+        points: &[u64],
+        self_loop: SelfLoop,
+        split_index: usize,
+    ) -> (Vec<(u64, u64, u64)>, CooMatrix<u64>) {
+        let design = KroneckerDesign::from_star_points(points, self_loop).unwrap();
+        let (b_design, c_design) = design.split(split_index).unwrap();
+        let b = b_design.realize_raw(10_000).unwrap();
+        let c = c_design.realize_raw(10_000).unwrap();
+        (csc_ordered_triples(&b), c)
+    }
+
+    /// Every edge of the block through one chunk of `capacity`.
+    fn streamed(
+        triples: &[(u64, u64, u64)],
+        c: &CooMatrix<u64>,
+        capacity: usize,
+    ) -> Vec<(u64, u64)> {
+        let mut edges = Vec::new();
+        let mut chunk = EdgeChunk::new(capacity);
+        let produced = stream_block_edges_into(triples, c, &mut chunk, |slice| {
+            edges.extend_from_slice(slice)
+        });
+        assert!(chunk.is_empty(), "chunk must be drained on return");
+        assert_eq!(produced as usize, edges.len());
+        edges
+    }
+
     #[test]
     fn streamed_edges_match_materialised_block() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::None).unwrap();
         let (b_design, c_design) = design.split(2).unwrap();
         let b = b_design.realize_raw(10_000).unwrap();
         let c = c_design.realize_raw(10_000).unwrap();
-        let triples = csc_ordered_triples(&b);
-
-        let mut streamed: Vec<(u64, u64)> = Vec::new();
-        let produced = stream_block_edges(&triples, &c, |r, col| streamed.push((r, col)));
-        assert_eq!(produced as usize, streamed.len());
-
-        let block = crate::block::GraphBlock::generate(0, &triples, &c, 120, 120);
+        let mut streamed = streamed(&csc_ordered_triples(&b), &c, 4096);
+        let product = kron_sparse::kron_coo::<u64, kron_sparse::PlusTimes>(&b, &c).unwrap();
         let mut materialised: Vec<(u64, u64)> =
-            block.edges.iter().map(|(r, col, _)| (r, col)).collect();
+            product.iter().map(|(r, col, _)| (r, col)).collect();
         streamed.sort_unstable();
         materialised.sort_unstable();
         assert_eq!(streamed, materialised);
@@ -196,39 +184,32 @@ mod tests {
 
     #[test]
     fn chunked_stream_matches_per_edge_across_chunk_sizes() {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let (b_design, c_design) = design.split(1).unwrap();
-        let b = b_design.realize_raw(10_000).unwrap();
-        let c = c_design.realize_raw(10_000).unwrap();
-        let triples = csc_ordered_triples(&b);
-
-        let mut per_edge: Vec<(u64, u64)> = Vec::new();
-        stream_block_edges(&triples, &c, |r, col| per_edge.push((r, col)));
-
+        let (triples, c) = factors(&[3, 4, 5], SelfLoop::Centre, 1);
+        // The expansion written out one edge at a time: each B triple
+        // against every C entry, in order.
+        let mut per_edge = Vec::new();
+        for &(rb, cb, _) in &triples {
+            for (r, col, _) in c.iter() {
+                per_edge.push((rb * c.nrows() + r, cb * c.ncols() + col));
+            }
+        }
         for chunk_capacity in [1usize, 3, 4096] {
-            let mut chunked: Vec<(u64, u64)> = Vec::new();
-            let mut chunk = EdgeChunk::new(chunk_capacity);
-            let produced = stream_block_edges_into(&triples, &c, &mut chunk, |edges| {
-                chunked.extend_from_slice(edges)
-            });
-            assert!(chunk.is_empty(), "chunk must be drained on return");
-            assert_eq!(produced as usize, chunked.len());
             // Chunked emission preserves the exact per-edge order.
             assert_eq!(
-                chunked, per_edge,
+                streamed(&triples, &c, chunk_capacity),
+                per_edge,
                 "order differs at chunk capacity {chunk_capacity}"
             );
-            assert_eq!(count_block_edges(&triples, &c), produced);
         }
+        assert_eq!(count_block_edges(&triples, &c), per_edge.len() as u64);
     }
 
     #[test]
     fn empty_slice_streams_nothing() {
-        let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
-        let (_, c_design) = design.split(1).unwrap();
-        let c = c_design.realize_raw(1_000).unwrap();
+        let (_, c) = factors(&[3, 4], SelfLoop::None, 1);
         let mut calls = 0usize;
-        let produced = stream_block_edges_chunked(&[], &c, |_| calls += 1);
+        let mut chunk = EdgeChunk::new(16);
+        let produced = stream_block_edges_into(&[], &c, &mut chunk, |_| calls += 1);
         assert_eq!(produced, 0);
         assert_eq!(calls, 0, "no edges must mean no sink calls");
         assert_eq!(count_block_edges(&[], &c), 0);

@@ -1,45 +1,48 @@
-//! Writing distributed graphs to disk.
+//! The on-disk shard formats and the readers that bring them back.
 //!
 //! The natural on-disk form of a distributed Kronecker graph is one file per
 //! worker — exactly what a distributed file system would hold after the
-//! paper's generation run.  Blocks are written in parallel (each worker owns
-//! its file, so there is still no coordination), and two formats are
-//! supported:
+//! paper's generation run.  The shard sinks in [`crate::sink`] write them
+//! (staged and atomically renamed, so a shard that exists is a shard that
+//! finished); this module owns the formats:
 //!
-//! * **TSV triples** (`block_<p>.tsv`) — the interchange format
-//!   Graph500-style tooling ingests; emission is fed by [`EdgeChunk`]s
-//!   through a per-worker [`BufWriter`], so a block streams to disk without
-//!   ever being materialised in memory.
-//! * **Compact binary** (`block_<p>.kbk`) — a fixed little-endian header
-//!   (magic, version, dimensions, edge count) followed by the raw row and
-//!   column index arrays.  16 bytes per edge, no parsing on the way back in;
-//!   [`read_block_bin`] round-trips it through the checked bulk COO APIs.
+//! * **TSV triples** (`block_<p>.tsv`) — `row<TAB>col<TAB>1` lines, the
+//!   interchange format Graph500-style tooling ingests.
+//! * **Compact binary** (`block_<p>.kbk`, `block_<p>.kbkz`) — a fixed
+//!   little-endian header (magic, version, dimensions, edge count, and from
+//!   v3 on a payload checksum) followed by the edges: 16 bytes per edge in
+//!   the raw layouts, delta/varint frames in the compressed one.
+//!   [`read_block_bin`] reads every version back through the one streaming
+//!   decoder the replay source uses.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use kron_core::CoreError;
-use kron_sparse::io::{read_tsv_file, write_tsv_file};
+use kron_sparse::io::read_tsv_file;
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
-use crate::generator::DistributedGraph;
-use crate::partition::{csc_ordered_triples, Partition};
-use crate::stream::try_stream_block_edges_into;
+use crate::replay::stream_binary_shard;
 
 /// Magic bytes opening a binary block file.
 pub const BLOCK_MAGIC: [u8; 4] = *b"KBLK";
-/// Version of the binary block layout with split row/column arrays
-/// (see [`write_block_bin`]).
+/// Version of the binary block layout with split row/column arrays:
+///
+/// ```text
+/// "KBLK"  u32 version  u64 nrows  u64 ncols  u64 nnz
+/// nnz x u64 row indices, then nnz x u64 column indices (little-endian)
+/// ```
+///
+/// Read-only: no sink writes it, and [`read_block_bin`] and the replay
+/// source read it.
 pub const BLOCK_VERSION: u32 = 1;
 /// Version of the binary block layout with interleaved `(row, col)` pairs —
 /// the streaming shard layout: edges append sequentially as they are
 /// generated, and only the header's count is patched at the end, so a shard
-/// never has to be buffered in memory (see
-/// [`crate::driver::BinaryShardSink`]).
+/// never has to be buffered in memory.
 pub const BLOCK_VERSION_PAIRS: u32 = 2;
 /// Version of the binary block layout with interleaved pairs **and** an
 /// FNV-1a checksum of the payload appended to the header.  The shard sinks
@@ -124,7 +127,8 @@ impl Default for Fnv1a {
 pub enum BlockFormat {
     /// `row<TAB>col<TAB>value` text triples.
     Tsv,
-    /// The compact binary layout (see [`write_block_bin`]).
+    /// The checksummed interleaved binary layout
+    /// ([`BLOCK_VERSION_CHECKSUM`]).
     Binary,
     /// The delta/varint-compressed binary layout
     /// ([`BLOCK_VERSION_COMPRESSED`]).
@@ -179,28 +183,6 @@ pub(crate) fn prepare_directory(
         .collect())
 }
 
-/// Write each block of a materialised distributed graph to
-/// `<directory>/block_<p>.tsv` (0-based triples, one file per worker,
-/// written in parallel).
-pub fn write_blocks_tsv(
-    graph: &DistributedGraph,
-    directory: &Path,
-) -> Result<BlockFileSet, CoreError> {
-    let files = prepare_directory(directory, graph.blocks.len(), "tsv")?;
-    graph
-        .blocks
-        .par_iter()
-        .zip(files.par_iter())
-        .try_for_each(|(block, path)| write_tsv_file(&block.edges, path))
-        .map_err(CoreError::Sparse)?;
-    Ok(BlockFileSet {
-        directory: directory.to_path_buf(),
-        files,
-        vertices: graph.vertices,
-        format: BlockFormat::Tsv,
-    })
-}
-
 /// Write one chunk of pattern edges in the TSV triple format
 /// (`row<TAB>col<TAB>1`) — the single definition of the line layout shared
 /// by every TSV emitter (and matched by the reader behind
@@ -212,132 +194,6 @@ pub(crate) fn write_tsv_edges(
     for &(row, col) in edges {
         writeln!(writer, "{row}\t{col}\t1")?;
     }
-    Ok(())
-}
-
-/// Stream one worker's block straight to a TSV file without materialising
-/// it: the Kronecker expansion fills the caller's reusable chunk, and each
-/// flush formats into a buffered writer.  Returns the number of edges
-/// written (every edge of the raw product has value 1).
-pub fn stream_block_tsv(
-    b_triples: &[(u64, u64, u64)],
-    c: &CooMatrix<u64>,
-    chunk: &mut EdgeChunk,
-    path: &Path,
-) -> Result<u64, SparseError> {
-    // lint:allow(raw-fs-shard) -- legacy materialising writer, documented non-atomic; new code writes through the sinks
-    let file = std::fs::File::create(path)?;
-    let mut writer = BufWriter::with_capacity(1 << 18, file);
-    // The first write error aborts the whole expansion (a full disk must
-    // not cost the remaining hours of edge generation).
-    let result = try_stream_block_edges_into(b_triples, c, chunk, |edges| {
-        write_tsv_edges(&mut writer, edges)
-    });
-    let written = match result {
-        Ok(written) => written,
-        Err(e) => {
-            // The undelivered edges have nowhere to go; drop them so the
-            // buffer is clean if the caller reuses it.
-            chunk.clear();
-            return Err(e.into());
-        }
-    };
-    writer.flush()?;
-    Ok(written)
-}
-
-/// Generate a design's raw product directly to per-worker TSV files, never
-/// holding more than one [`EdgeChunk`] per worker in memory.
-///
-/// This writes the *raw* `B ⊗ C` product — the streaming pipeline's view of
-/// the graph, before any self-loop removal — with **no** per-vertex state at
-/// all: unlike `Pipeline::raw_product().write_tsv(dir)`, which also streams
-/// an `O(vertices)` degree histogram for validation and drops a
-/// `manifest.json`, this raw dump keeps only the factors and one chunk per
-/// worker in memory.  Prefer the pipeline unless the vertex count itself is
-/// too large for a histogram.
-#[deprecated(
-    since = "0.1.0",
-    note = "use kron_gen::Pipeline::for_design(..).raw_product().write_tsv(dir) \
-            (adds streamed validation and a run manifest at O(vertices) memory)"
-)]
-pub fn stream_blocks_tsv(
-    design: &kron_core::KroneckerDesign,
-    split_index: usize,
-    workers: usize,
-    max_factor_edges: u64,
-    directory: &Path,
-) -> Result<BlockFileSet, CoreError> {
-    if workers == 0 {
-        return Err(CoreError::InvalidConfig {
-            message: "streaming generation needs at least one worker".into(),
-        });
-    }
-    let (b_design, c_design) = design.split(split_index)?;
-    let b = b_design.realize_raw(max_factor_edges)?;
-    let c = c_design.realize_raw(max_factor_edges)?;
-    let vertices = design
-        .vertices()
-        .to_u64()
-        .ok_or_else(|| CoreError::TooLargeToRealise {
-            vertices: design.vertices().to_string(),
-            edges: design.nnz_with_loops().to_string(),
-        })?;
-    let triples = csc_ordered_triples(&b);
-    let partition = Partition::even(triples.len(), workers);
-    let files = prepare_directory(directory, workers, "tsv")?;
-
-    (0..workers)
-        .into_par_iter()
-        .map(|worker| {
-            let mut chunk = EdgeChunk::with_default_capacity();
-            stream_block_tsv(
-                &triples[partition.range(worker)],
-                &c,
-                &mut chunk,
-                &files[worker],
-            )
-            .map(|_| ())
-        })
-        .collect::<Vec<Result<(), SparseError>>>()
-        .into_iter()
-        .collect::<Result<(), SparseError>>()
-        .map_err(CoreError::Sparse)?;
-
-    Ok(BlockFileSet {
-        directory: directory.to_path_buf(),
-        files,
-        vertices,
-        format: BlockFormat::Tsv,
-    })
-}
-
-/// Write one block in the compact binary layout:
-///
-/// ```text
-/// "KBLK"  u32 version  u64 nrows  u64 ncols  u64 nnz
-/// nnz x u64 row indices, then nnz x u64 column indices (little-endian)
-/// ```
-///
-/// Values are not stored — a generated raw-product block is an unweighted
-/// pattern (every stored entry is 1), which is what makes the format 16
-/// bytes per edge.
-pub fn write_block_bin(edges: &CooMatrix<u64>, path: &Path) -> Result<(), SparseError> {
-    // lint:allow(raw-fs-shard) -- legacy materialising writer, documented non-atomic; new code writes through the sinks
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::with_capacity(1 << 18, file);
-    w.write_all(&BLOCK_MAGIC)?;
-    w.write_all(&BLOCK_VERSION.to_le_bytes())?;
-    w.write_all(&edges.nrows().to_le_bytes())?;
-    w.write_all(&edges.ncols().to_le_bytes())?;
-    w.write_all(&(edges.nnz() as u64).to_le_bytes())?;
-    for &row in edges.row_indices() {
-        w.write_all(&row.to_le_bytes())?;
-    }
-    for &col in edges.col_indices() {
-        w.write_all(&col.to_le_bytes())?;
-    }
-    w.flush()?;
     Ok(())
 }
 
@@ -363,11 +219,10 @@ pub(crate) struct BlockHeader {
 }
 
 /// Read and validate the shared binary block header — magic, version, and
-/// the declared entry count against the actual file length (both layouts
-/// store 16 bytes per edge after the header), so a corrupt header fails
-/// cleanly before anything is allocated or streamed from it.  The single
-/// owner of the header format, shared by the materialising reader
-/// ([`read_block_bin`]) and the streaming replay source.
+/// the declared entry count (or, for v4, payload length) against the actual
+/// file length, so a corrupt header fails cleanly before anything is
+/// allocated or streamed from it.  The single owner of the header format,
+/// shared by the binary decoder and [`shard_checksum`].
 pub(crate) fn read_block_header(
     file_len: u64,
     reader: &mut impl Read,
@@ -393,25 +248,16 @@ pub(crate) fn read_block_header(
             message: format!("unsupported block version {version}"),
         });
     }
-    let mut header = [0u8; 24];
-    reader.read_exact(&mut header)?;
-    // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: fixed slices of the 24-byte header
-    let nrows = le_u64(&header[0..8]);
-    // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: fixed slices of the 24-byte header
-    let ncols = le_u64(&header[8..16]);
-    // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: fixed slices of the 24-byte header
-    let nnz = le_u64(&header[16..24]);
+    let nrows = read_u64(reader)?;
+    let ncols = read_u64(reader)?;
+    let nnz = read_u64(reader)?;
     let payload_len = if version == BLOCK_VERSION_COMPRESSED {
-        let mut len = [0u8; 8];
-        reader.read_exact(&mut len)?;
-        Some(u64::from_le_bytes(len))
+        Some(read_u64(reader)?)
     } else {
         None
     };
     let checksum = if version == BLOCK_VERSION_CHECKSUM || version == BLOCK_VERSION_COMPRESSED {
-        let mut sum = [0u8; 8];
-        reader.read_exact(&mut sum)?;
-        Some(u64::from_le_bytes(sum))
+        Some(read_u64(reader)?)
     } else {
         None
     };
@@ -455,176 +301,35 @@ pub(crate) fn read_block_header(
     })
 }
 
-/// Decode a little-endian `u64` from an exactly-8-byte slice.
-///
-/// Single owner of the slice→array conversion for block decoding: every
-/// caller passes a `chunks_exact(8)` chunk or a fixed 8-byte range, so
-/// the length is right by construction.
-pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
-    // lint:allow(no-expect) -- single owner of the 8-byte slice contract; callers only pass chunks_exact(8) or fixed ranges
-    u64::from_le_bytes(bytes.try_into().expect("8-byte slice"))
-}
-
-fn read_u64_array(reader: &mut impl Read, count: usize) -> Result<Vec<u64>, SparseError> {
-    let mut bytes = vec![0u8; count * 8];
+/// Read one little-endian `u64` header field.
+fn read_u64(reader: &mut impl Read) -> Result<u64, SparseError> {
+    let mut bytes = [0u8; 8];
     reader.read_exact(&mut bytes)?;
-    Ok(bytes.chunks_exact(8).map(le_u64).collect())
+    Ok(u64::from_le_bytes(bytes))
 }
 
-/// Read a binary block file back into a COO matrix (all values 1), with the
-/// header validated — including the declared entry count against the actual
-/// file length, before anything is allocated from it — and every index
-/// bounds-checked.
+/// Read a binary block file of any layout version back into a COO matrix
+/// (all values 1): a collect over the one streaming binary decoder, so the
+/// header is validated — including the declared entry count against the
+/// actual file length, before anything is allocated from it — every index
+/// is bounds-checked against the header's `nrows × ncols`, and a v3/v4
+/// payload that fails its checksum reports [`SparseError::ChecksumMismatch`]
+/// whatever symptom the corruption shows first.  Errors name the file
+/// ([`SparseError::WithPath`]).
 pub fn read_block_bin(path: &Path) -> Result<CooMatrix<u64>, SparseError> {
-    let file = std::fs::File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut reader = std::io::BufReader::with_capacity(1 << 18, file);
-    let BlockHeader {
-        version,
-        nrows,
-        ncols,
-        nnz,
-        payload_len,
-        checksum,
-    } = read_block_header(file_len, &mut reader)?;
-    let nnz = usize::try_from(nnz).map_err(|_| SparseError::TooLarge {
-        what: "binary block entry count",
-        requested: nnz as u128,
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    let mut chunk = EdgeChunk::with_default_capacity();
+    let header = stream_binary_shard(path, None, &mut chunk, &mut |edges: &[(u64, u64)]| {
+        rows.extend(edges.iter().map(|&(row, _)| row));
+        cols.extend(edges.iter().map(|&(_, col)| col));
+        Ok::<(), SparseError>(())
     })?;
-
-    let (rows, cols) = if version == BLOCK_VERSION_COMPRESSED {
-        // lint:allow(no-expect) -- read_block_header always sets payload_len for v4
-        let payload_len = payload_len.expect("v4 header carries a payload length");
-        read_compressed_body(&mut reader, nnz, payload_len, checksum)?
-    } else if version == BLOCK_VERSION {
-        let rows = read_u64_array(&mut reader, nnz)?;
-        let cols = read_u64_array(&mut reader, nnz)?;
-        (rows, cols)
-    } else {
-        // De-interleave while reading, in bounded buffers: the transient
-        // cost stays one I/O buffer, not a second full copy of the body.
-        let mut rows = Vec::with_capacity(nnz);
-        let mut cols = Vec::with_capacity(nnz);
-        let mut buffer = [0u8; 16 * 4096];
-        let mut remaining = nnz;
-        let mut hasher = Fnv1a::new();
-        while remaining > 0 {
-            let pairs = remaining.min(4096);
-            let bytes = &mut buffer[..16 * pairs];
-            reader.read_exact(bytes)?;
-            if checksum.is_some() {
-                hasher.update(bytes);
-            }
-            for pair in bytes.chunks_exact(16) {
-                rows.push(le_u64(&pair[..8]));
-                cols.push(le_u64(&pair[8..]));
-            }
-            remaining -= pairs;
-        }
-        // Verify before the indices are trusted: a flipped byte must fail
-        // as corruption, not as a confusing out-of-bounds index.
-        if let Some(expected) = checksum {
-            let actual = hasher.finish();
-            if actual != expected {
-                return Err(SparseError::ChecksumMismatch { expected, actual });
-            }
-        }
-        (rows, cols)
-    };
-    for (&r, &c) in rows.iter().zip(cols.iter()) {
-        if r >= nrows || c >= ncols {
-            return Err(SparseError::IndexOutOfBounds {
-                row: r,
-                col: c,
-                nrows,
-                ncols,
-            });
-        }
-    }
     // The vectors become the matrix's storage directly — no copy, and the
     // all-ones value vector is the only extra allocation.
-    let mut m = CooMatrix::new(nrows, ncols);
-    m.append_raw(rows, cols, vec![1u64; nnz]);
+    let ones = vec![1u64; rows.len()];
+    let mut m = CooMatrix::new(header.nrows, header.ncols);
+    m.append_raw(rows, cols, ones);
     Ok(m)
-}
-
-/// Decode a v4 compressed block body: a sequence of delta/varint frames
-/// (see [`crate::codec`]), FNV-hashed as read and verified against the
-/// header checksum before the decoded indices are returned.
-///
-/// The payload is read whole (it is the *compressed* size — a few bytes
-/// per edge), then decoded frame by frame so a truncated or overlapping
-/// frame fails as a parse error rather than a silent short count.
-fn read_compressed_body(
-    reader: &mut impl Read,
-    nnz: usize,
-    payload_len: u64,
-    checksum: Option<u64>,
-) -> Result<(Vec<u64>, Vec<u64>), SparseError> {
-    let payload_len = usize::try_from(payload_len).map_err(|_| SparseError::TooLarge {
-        what: "compressed block payload length",
-        requested: payload_len as u128,
-    })?;
-    let mut payload = vec![0u8; payload_len];
-    reader.read_exact(&mut payload)?;
-    // Verify before the frames are trusted: a flipped byte must fail as
-    // corruption, not as a confusing varint or out-of-bounds index error.
-    if let Some(expected) = checksum {
-        let mut hasher = Fnv1a::new();
-        hasher.update(&payload);
-        let actual = hasher.finish();
-        if actual != expected {
-            return Err(SparseError::ChecksumMismatch { expected, actual });
-        }
-    }
-    let mut rows = Vec::with_capacity(nnz);
-    let mut cols = Vec::with_capacity(nnz);
-    let mut frame = Vec::new();
-    let mut offset = 0usize;
-    let mut decoded = 0usize;
-    while offset < payload.len() {
-        let header: [u8; crate::codec::FRAME_HEADER_LEN] = payload[offset..]
-            .get(..crate::codec::FRAME_HEADER_LEN)
-            .and_then(|bytes| bytes.try_into().ok())
-            .ok_or(SparseError::Parse {
-                line: 0,
-                message: format!("compressed block frame header truncated at byte {offset}"),
-            })?;
-        let (count, byte_len) = crate::codec::frame_header(&header);
-        let (count, byte_len) = (count as usize, byte_len as usize);
-        offset += crate::codec::FRAME_HEADER_LEN;
-        let body = payload
-            .get(offset..offset + byte_len)
-            .ok_or(SparseError::Parse {
-                line: 0,
-                message: format!(
-                    "compressed block frame declares {byte_len} bytes at offset {offset} but the payload ends at {}",
-                    payload.len()
-                ),
-            })?;
-        crate::codec::decode_frame(count as u32, body, &mut frame)?;
-        offset += byte_len;
-        decoded += count;
-        if decoded > nnz {
-            return Err(SparseError::Parse {
-                line: 0,
-                message: format!("compressed block decodes more than the declared {nnz} entries"),
-            });
-        }
-        for &(r, c) in &frame {
-            rows.push(r);
-            cols.push(c);
-        }
-    }
-    if decoded != nnz {
-        return Err(SparseError::Parse {
-            line: 0,
-            message: format!(
-                "compressed block declares {nnz} entries but its frames decode {decoded}"
-            ),
-        });
-    }
-    Ok((rows, cols))
 }
 
 /// Recompute the checksum a shard *should* carry by streaming its bytes
@@ -658,99 +363,78 @@ pub fn shard_checksum(path: &Path, format: BlockFormat) -> Result<u64, SparseErr
     attempt().map_err(|e| SparseError::with_path(path, e))
 }
 
-/// Write each block of a materialised distributed graph in the compact
-/// binary format, one `block_<p>.kbk` file per worker, in parallel.
-pub fn write_blocks_bin(
-    graph: &DistributedGraph,
-    directory: &Path,
-) -> Result<BlockFileSet, CoreError> {
-    let files = prepare_directory(directory, graph.blocks.len(), "kbk")?;
-    graph
-        .blocks
-        .par_iter()
-        .zip(files.par_iter())
-        .try_for_each(|(block, path)| write_block_bin(&block.edges, path))
-        .map_err(CoreError::Sparse)?;
-    Ok(BlockFileSet {
-        directory: directory.to_path_buf(),
-        files,
-        vertices: graph.vertices,
-        format: BlockFormat::Binary,
-    })
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // exercises the legacy wrappers on purpose
 mod tests {
     use super::*;
-    use crate::generator::{GeneratorConfig, ParallelGenerator};
+    use crate::pipeline::Pipeline;
+    use crate::test_support::{split_array_block, unique_dir};
     use kron_core::{KroneckerDesign, SelfLoop};
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("kron_gen_writer_tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn sorted(mut m: CooMatrix<u64>) -> CooMatrix<u64> {
+        m.sort();
+        m
     }
 
-    fn generated(workers: usize) -> (KroneckerDesign, DistributedGraph) {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let graph = ParallelGenerator::new(GeneratorConfig {
-            workers,
-            max_c_edges: 1_000,
-            max_total_edges: 100_000,
-        })
-        .generate(&design)
-        .unwrap();
-        (design, graph)
+    /// The generated graph, assembled in memory, for the round trips to
+    /// compare against.
+    fn in_memory(design: &KroneckerDesign, workers: usize) -> CooMatrix<u64> {
+        let report = Pipeline::for_design(design)
+            .workers(workers)
+            .max_c_edges(1_000)
+            .collect_coo()
+            .unwrap();
+        sorted(report.assemble())
     }
 
     #[test]
     fn blocks_round_trip_through_disk() {
-        let (_, graph) = generated(3);
-        let dir = temp_dir("round_trip");
-        let files = write_blocks_tsv(&graph, &dir).unwrap();
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
+        let dir = unique_dir("round_trip");
+        let report = Pipeline::for_design(&design)
+            .workers(3)
+            .max_c_edges(1_000)
+            .write_tsv(&dir)
+            .unwrap();
+        let files = report.files.unwrap();
         assert_eq!(files.files.len(), 3);
         assert_eq!(files.format, BlockFormat::Tsv);
         for f in &files.files {
             assert!(f.exists(), "missing block file {f:?}");
         }
-
-        let mut from_disk = files.read_assembled().unwrap();
-        let mut in_memory = graph.assemble();
-        from_disk.sort();
-        in_memory.sort();
-        assert_eq!(from_disk, in_memory);
+        assert_eq!(
+            sorted(files.read_assembled().unwrap()),
+            in_memory(&design, 3)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn binary_blocks_round_trip_and_are_compact() {
-        let (_, graph) = generated(4);
-        let dir = temp_dir("binary_round_trip");
-        let files = write_blocks_bin(&graph, &dir).unwrap();
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
+        let dir = unique_dir("binary_round_trip");
+        let report = Pipeline::for_design(&design)
+            .workers(4)
+            .max_c_edges(1_000)
+            .write_binary(&dir)
+            .unwrap();
+        let files = report.files.as_ref().unwrap();
         assert_eq!(files.format, BlockFormat::Binary);
+        assert_eq!(
+            sorted(files.read_assembled().unwrap()),
+            in_memory(&design, 4)
+        );
 
-        let mut from_disk = files.read_assembled().unwrap();
-        let mut in_memory = graph.assemble();
-        from_disk.sort();
-        in_memory.sort();
-        assert_eq!(from_disk, in_memory);
-
-        // Header (32 bytes) + 16 bytes per edge, exactly.
-        for (file, block) in files.files.iter().zip(graph.blocks.iter()) {
+        // Checksummed header (40 bytes) + 16 bytes per edge, exactly.
+        for (file, edges) in files.files.iter().zip(&report.stats.edges_per_worker) {
             let len = std::fs::metadata(file).unwrap().len();
-            assert_eq!(len, 32 + 16 * block.edge_count() as u64);
+            assert_eq!(len, BLOCK_HEADER_CHECKSUM_LEN + 16 * edges);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn binary_reader_rejects_corrupt_headers() {
-        let dir = temp_dir("binary_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.kbk");
+        let path = unique_dir("binary_corrupt").join("bad.kbk");
         std::fs::write(&path, b"NOPE").unwrap();
         assert!(read_block_bin(&path).is_err());
         let mut with_version = BLOCK_MAGIC.to_vec();
@@ -758,18 +442,51 @@ mod tests {
         with_version.extend_from_slice(&[0u8; 24]);
         std::fs::write(&path, &with_version).unwrap();
         assert!(read_block_bin(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn split_array_v1_blocks_still_read() {
+        let edges = [(0u64, 1u64), (1, 2), (2, 0), (3, 3), (1, 0)];
+        let path = unique_dir("v1").join("block_00000.kbk");
+        std::fs::write(&path, split_array_block(4, 4, &edges)).unwrap();
+        let block = read_block_bin(&path).unwrap();
+        assert_eq!((block.nrows(), block.ncols()), (4, 4));
+        let decoded: Vec<(u64, u64)> = block.iter().map(|(r, c, _)| (r, c)).collect();
+        assert_eq!(decoded, edges);
+        // v1 carries no checksum, so an out-of-range index is reported as
+        // what it is.
+        let mut bytes = split_array_block(4, 4, &edges);
+        let last_col = bytes.len() - 8;
+        bytes[last_col..].copy_from_slice(&9u64.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        match read_block_bin(&path) {
+            Err(SparseError::WithPath { source, .. }) => {
+                assert!(matches!(
+                    *source,
+                    SparseError::IndexOutOfBounds { col: 9, .. }
+                ))
+            }
+            other => panic!("expected an out-of-bounds index, got {other:?}"),
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn streamed_tsv_matches_raw_product() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let dir = temp_dir("streamed_tsv");
-        let files = stream_blocks_tsv(&design, 1, 3, 100_000, &dir).unwrap();
+        let dir = unique_dir("streamed_tsv");
+        let report = Pipeline::for_design(&design)
+            .workers(3)
+            .split_index(1)
+            .raw_product()
+            .write_tsv(&dir)
+            .unwrap();
+        let files = report.files.unwrap();
         assert_eq!(files.files.len(), 3);
 
-        // The streamed files hold the raw product: every constituent keeps
-        // its self-loops, so compare against the design's raw nnz.
+        // The raw product keeps every constituent's self-loops, so compare
+        // against the design's raw nnz.
         let assembled = files.read_assembled().unwrap();
         assert_eq!(
             assembled.nnz() as u64,
@@ -781,24 +498,18 @@ mod tests {
     #[test]
     fn streamed_tsv_equals_materialised_blocks_before_loop_removal() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::None).unwrap();
-        let dir = temp_dir("streamed_equals_materialised");
-        let files = stream_blocks_tsv(&design, 2, 4, 100_000, &dir).unwrap();
+        let dir = unique_dir("streamed_equals_materialised");
+        let report = Pipeline::for_design(&design)
+            .workers(4)
+            .split_index(2)
+            .raw_product()
+            .write_tsv(&dir)
+            .unwrap();
 
-        // SelfLoop::None has no removable loop, so the generated graph *is*
-        // the raw product and the two pipelines must agree bit for bit.
-        let graph = ParallelGenerator::new(GeneratorConfig {
-            workers: 4,
-            max_c_edges: 100_000,
-            max_total_edges: 100_000,
-        })
-        .generate_with_split(&design, 2)
-        .unwrap();
-
-        let mut streamed = files.read_assembled().unwrap();
-        let mut materialised = graph.assemble();
-        streamed.sort();
-        materialised.sort();
-        assert_eq!(streamed, materialised);
+        // SelfLoop::None has no removable loop, so the raw product *is* the
+        // designed graph and the two must agree bit for bit.
+        let streamed = sorted(report.files.unwrap().read_assembled().unwrap());
+        assert_eq!(streamed, sorted(design.realize(100_000).unwrap()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -808,9 +519,7 @@ mod tests {
     /// is [count u32][byte_len u32][varint body].
     fn compressed_fixture(name: &str) -> (PathBuf, Vec<(u64, u64)>) {
         use crate::sink::{CompressedShardSink, EdgeSink};
-        let dir = temp_dir(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("block_00000.kbkz");
+        let path = unique_dir(name).join("block_00000.kbkz");
         let edges: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 64, (i * 7) % 64)).collect();
         let mut sink = CompressedShardSink::create(&path, 64, 64).unwrap();
         sink.consume(&edges).unwrap();
@@ -822,6 +531,21 @@ mod tests {
         let mut bytes = std::fs::read(path).unwrap();
         mutate(&mut bytes);
         std::fs::write(path, &bytes).unwrap();
+    }
+
+    /// `read_block_bin`'s error on `path`, unwrapped from the `WithPath`
+    /// annotation that must name the shard.
+    fn read_error(path: &Path) -> SparseError {
+        match read_block_bin(path) {
+            Err(SparseError::WithPath {
+                path: named,
+                source,
+            }) => {
+                assert_eq!(named, path.display().to_string());
+                *source
+            }
+            other => panic!("expected an error naming {path:?}, got {other:?}"),
+        }
     }
 
     /// Re-seal a deliberately mutated payload so the corruption under test
@@ -855,10 +579,8 @@ mod tests {
     fn compressed_flipped_payload_byte_fails_as_checksum_mismatch() {
         let (path, _) = compressed_fixture("v4_flip");
         patched(&path, |bytes| bytes[60] ^= 1);
-        match read_block_bin(&path) {
-            Err(SparseError::ChecksumMismatch { expected, actual }) => {
-                assert_ne!(expected, actual)
-            }
+        match read_error(&path) {
+            SparseError::ChecksumMismatch { expected, actual } => assert_ne!(expected, actual),
             other => panic!("expected a checksum mismatch, got {other:?}"),
         }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -870,9 +592,9 @@ mod tests {
         patched(&path, |bytes| {
             bytes.pop();
         });
-        let err = read_block_bin(&path).unwrap_err();
+        let err = read_error(&path);
         assert!(
-            err.to_string().contains("but the file is"),
+            matches!(err, SparseError::Parse { .. }) && err.to_string().contains("but the file is"),
             "truncation must fail on declared vs actual length: {err}"
         );
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -885,7 +607,8 @@ mod tests {
             let declared = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
             bytes[32..40].copy_from_slice(&(declared + 1).to_le_bytes());
         });
-        let err = read_block_bin(&path).unwrap_err();
+        let err = read_error(&path);
+        assert!(matches!(err, SparseError::Parse { .. }), "{err:?}");
         assert!(err.to_string().contains("but the file is"), "{err}");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -900,7 +623,8 @@ mod tests {
             bytes[52..56].copy_from_slice(&(byte_len + 8).to_le_bytes());
             refresh_v4_checksum(bytes);
         });
-        let err = read_block_bin(&path).unwrap_err();
+        let err = read_error(&path);
+        assert!(matches!(err, SparseError::Parse { .. }), "{err:?}");
         assert!(err.to_string().contains("payload ends"), "{err}");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -914,7 +638,8 @@ mod tests {
             let nnz = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
             bytes[24..32].copy_from_slice(&(nnz + 1).to_le_bytes());
         });
-        let err = read_block_bin(&path).unwrap_err();
+        let err = read_error(&path);
+        assert!(matches!(err, SparseError::Parse { .. }), "{err:?}");
         assert!(err.to_string().contains("frames decode"), "{err}");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -931,7 +656,8 @@ mod tests {
             bytes[32..40].copy_from_slice(&(declared + 4).to_le_bytes());
             refresh_v4_checksum(bytes);
         });
-        let err = read_block_bin(&path).unwrap_err();
+        let err = read_error(&path);
+        assert!(matches!(err, SparseError::Parse { .. }), "{err:?}");
         assert!(err.to_string().contains("frame header truncated"), "{err}");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -950,11 +676,10 @@ mod tests {
 
     #[test]
     fn file_names_are_worker_ordered() {
-        let (_, graph) = generated(2);
-        let dir = temp_dir("names");
-        let files = write_blocks_tsv(&graph, &dir).unwrap();
-        assert!(files.files[0].to_string_lossy().contains("block_00000"));
-        assert!(files.files[1].to_string_lossy().contains("block_00001"));
+        let dir = unique_dir("names");
+        let files = prepare_directory(&dir, 2, "tsv").unwrap();
+        assert!(files[0].to_string_lossy().contains("block_00000"));
+        assert!(files[1].to_string_lossy().contains("block_00001"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,9 +14,8 @@
 //! samples can be produced independently — per worker, per chunk — and the
 //! full edge list is identical no matter how the range is carved up.  That
 //! is what lets `RmatSource` stream R-MAT through the generic pipeline with
-//! bounded memory; the materialising [`RmatGenerator::generate_edges`] /
-//! [`RmatGenerator::generate_edges_parallel`] survive as deprecated thin
-//! wrappers over the same indexed sampler.
+//! bounded memory.  A materialised edge list, where one is wanted, is
+//! `(0..n).map(|i| generator.edge_at(i))`.
 //!
 //! **Compatibility note:** the per-sample RNG is a SplitMix64 stream over
 //! the derived `(seed, index)` state; it replaced an earlier
@@ -26,7 +25,6 @@
 //! (equally valid, identically distributed) sample stream under this
 //! version.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use kron_core::CoreError;
@@ -272,9 +270,8 @@ impl RmatGenerator {
 
     /// Worker `worker`'s contiguous range of global sample indices when the
     /// requested samples are split evenly across `workers` workers — the
-    /// single owner of the balanced-range arithmetic shared by the streaming
-    /// source and the deprecated materialising wrapper, so the two can never
-    /// desynchronise.  Ranges are contiguous and ascending in worker order
+    /// single owner of the balanced-range arithmetic behind the streaming
+    /// source.  Ranges are contiguous and ascending in worker order
     /// and cover `[0, requested_edges())` exactly.
     ///
     /// # Panics
@@ -316,37 +313,6 @@ impl RmatGenerator {
             generator: self,
             levels,
         }
-    }
-
-    /// Sample the full edge list (deterministic for a given seed).
-    #[deprecated(
-        since = "0.1.0",
-        note = "run the generator through the pipeline (RmatSource) or sample \
-                indexed ranges with edge_at; this wrapper materialises every edge"
-    )]
-    pub fn generate_edges(&self) -> Vec<(u64, u64)> {
-        (0..self.params.requested_edges())
-            .map(|index| self.edge_at(index))
-            .collect()
-    }
-
-    /// Sample the edge list in parallel chunks.  The indexed sampler makes
-    /// the output identical to [`RmatGenerator::generate_edges`] for every
-    /// chunk count — the chunking is now purely a work split.
-    #[deprecated(
-        since = "0.1.0",
-        note = "run the generator through the pipeline (RmatSource), which \
-                streams the same samples without materialising them"
-    )]
-    pub fn generate_edges_parallel(&self, chunks: usize) -> Vec<(u64, u64)> {
-        let chunks = chunks.max(1);
-        (0..chunks)
-            .into_par_iter()
-            .flat_map_iter(|chunk| {
-                self.sample_range(chunk, chunks)
-                    .map(|index| self.edge_at(index))
-            })
-            .collect()
     }
 }
 
@@ -426,9 +392,14 @@ impl RmatBatchSampler<'_> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the wrappers are pinned against the indexed sampler
-
     use super::*;
+
+    /// The generator's whole sample stream, materialised.
+    fn all_edges(gen: &RmatGenerator) -> Vec<(u64, u64)> {
+        (0..gen.params().requested_edges())
+            .map(|index| gen.edge_at(index))
+            .collect()
+    }
 
     #[test]
     fn graph500_defaults_are_valid() {
@@ -458,7 +429,7 @@ mod tests {
     #[test]
     fn edge_indices_stay_in_range() {
         let gen = RmatGenerator::new(RmatParams::graph500(8), 42).unwrap();
-        let edges = gen.generate_edges();
+        let edges = all_edges(&gen);
         assert_eq!(edges.len(), 16 * 256);
         let n = gen.params().vertices();
         assert!(edges.iter().all(|&(u, v)| u < n && v < n));
@@ -467,32 +438,43 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let gen = RmatGenerator::new(RmatParams::graph500(7), 7).unwrap();
-        assert_eq!(gen.generate_edges(), gen.generate_edges());
+        assert_eq!(all_edges(&gen), all_edges(&gen));
         let other = RmatGenerator::new(RmatParams::graph500(7), 8).unwrap();
-        assert_ne!(gen.generate_edges(), other.generate_edges());
+        assert_ne!(all_edges(&gen), all_edges(&other));
+
+        // The exact stream the materialising `generate_edges` returned for
+        // Graph500 scale 10, seed 7, before it was removed: FNV-1a over
+        // each edge's little-endian (row, col).
+        let gen = RmatGenerator::new(RmatParams::graph500(10), 7).unwrap();
+        let mut hasher = kron_gen::Fnv1a::new();
+        for (row, col) in all_edges(&gen) {
+            hasher.update(&row.to_le_bytes());
+            hasher.update(&col.to_le_bytes());
+        }
+        assert_eq!(hasher.finish(), 0x2947_f5ab_94e4_8b17);
     }
 
     #[test]
     fn indexed_sampling_is_the_single_engine() {
+        // The scalar walk and the batched lanes draw the same stream.
         let gen = RmatGenerator::new(RmatParams::graph500(7), 19).unwrap();
-        let sequential = gen.generate_edges();
-        let indexed: Vec<(u64, u64)> = (0..gen.params().requested_edges())
-            .map(|i| gen.edge_at(i))
-            .collect();
-        assert_eq!(sequential, indexed);
+        let mut batched = vec![(0u64, 0u64); gen.params().requested_edges() as usize];
+        gen.batch_sampler().fill(0, &mut batched);
+        assert_eq!(batched, all_edges(&gen));
     }
 
     #[test]
     fn parallel_generation_equals_sequential_for_every_chunking() {
+        // Any work split, concatenated in worker order, is the whole stream.
         let gen = RmatGenerator::new(RmatParams::graph500(8), 3).unwrap();
-        let sequential = gen.generate_edges();
+        let sequential = all_edges(&gen);
         assert_eq!(sequential.len() as u64, gen.params().requested_edges());
         for chunks in [1usize, 2, 3, 7, 64] {
-            assert_eq!(
-                gen.generate_edges_parallel(chunks),
-                sequential,
-                "chunk count {chunks} changed the stream"
-            );
+            let split: Vec<(u64, u64)> = (0..chunks)
+                .flat_map(|chunk| gen.sample_range(chunk, chunks))
+                .map(|index| gen.edge_at(index))
+                .collect();
+            assert_eq!(split, sequential, "chunk count {chunks} changed the stream");
         }
     }
 
@@ -580,7 +562,7 @@ mod tests {
         // With a = 0.57 the low-numbered vertices receive far more edges than
         // the high-numbered ones — the hallmark of the R-MAT skew.
         let gen = RmatGenerator::new(RmatParams::graph500(10), 11).unwrap();
-        let edges = gen.generate_edges();
+        let edges = all_edges(&gen);
         let n = gen.params().vertices();
         let low = edges.iter().filter(|&&(u, _)| u < n / 4).count();
         let high = edges.iter().filter(|&&(u, _)| u >= 3 * n / 4).count();
@@ -596,6 +578,6 @@ mod tests {
         p.noise = 0.1;
         let gen = RmatGenerator::new(p, 5).unwrap();
         let n = p.vertices();
-        assert!(gen.generate_edges().iter().all(|&(u, v)| u < n && v < n));
+        assert!(all_edges(&gen).iter().all(|&(u, v)| u < n && v < n));
     }
 }

@@ -209,14 +209,19 @@ mod tests {
 
     #[test]
     fn tsv_file_round_trip() {
-        let dir = std::env::temp_dir().join("kron_sparse_io_test");
+        // The process id keeps concurrent test binaries out of each other's
+        // way.
+        let dir = std::env::temp_dir().join(format!(
+            "kron_sparse_io_test_{}_tsv_file_round_trip",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.tsv");
         let m = sample();
         write_tsv_file(&m, &path).unwrap();
         let back = read_tsv_file(4, 5, &path).unwrap();
         assert_eq!(back, m);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

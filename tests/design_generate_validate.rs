@@ -1,32 +1,30 @@
 //! End-to-end integration tests spanning the whole workspace:
-//! design (kron-core) → parallel generation (kron-gen) → measurement and
-//! validation, plus cross-checks against brute-force computation on the
-//! sparse substrate (kron-sparse).
-
-// The deprecated generator entry points are exercised deliberately: these
-// tests pin the legacy wrappers to the behaviour of the pipeline they now
-// delegate to (see tests/pipeline_equivalence.rs for the direct comparison).
-#![allow(deprecated)]
+//! design (kron-core) → parallel generation (the kron-gen pipeline) →
+//! measurement and validation, with the analytic prediction as the oracle
+//! and cross-checks against brute-force computation on the sparse
+//! substrate (kron-sparse).
 
 use extreme_graphs::bignum::BigUint;
 use extreme_graphs::core::validate::{measure_properties, validate_design};
-use extreme_graphs::gen::measure::{
-    measured_degree_distribution, measured_properties, BalanceReport,
-};
+use extreme_graphs::gen::measure::BalanceReport;
+use extreme_graphs::gen::{DesignPipeline, Pipeline};
 use extreme_graphs::sparse::reduce::degree_distribution as sparse_histogram;
 use extreme_graphs::sparse::select::{empty_vertices, has_duplicates, self_loop_count};
 use extreme_graphs::sparse::triangles::{count_triangles_coo, count_triangles_merge};
-use extreme_graphs::sparse::{CsrMatrix, PlusTimes};
-use extreme_graphs::{
-    DegreeDistribution, GeneratorConfig, KroneckerDesign, ParallelGenerator, SelfLoop,
-};
+use extreme_graphs::sparse::{CooMatrix, CsrMatrix, PlusTimes};
+use extreme_graphs::{DegreeDistribution, KroneckerDesign, SelfLoop};
 
-fn generator(workers: usize) -> ParallelGenerator {
-    ParallelGenerator::new(GeneratorConfig {
-        workers,
-        max_c_edges: 100_000,
-        max_total_edges: 20_000_000,
-    })
+fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
+    Pipeline::for_design(design)
+        .workers(workers)
+        .max_c_edges(100_000)
+}
+
+/// The generated graph, assembled and sorted.
+fn generated(design: &KroneckerDesign, workers: usize) -> CooMatrix<u64> {
+    let mut graph = pipeline(design, workers).collect_coo().unwrap().assemble();
+    graph.sort();
+    graph
 }
 
 #[test]
@@ -35,16 +33,27 @@ fn full_pipeline_matches_for_every_self_loop_mode() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
         let predicted = design.properties();
 
-        // Distributed generation.
-        let graph = generator(4).generate(&design).unwrap();
-        let distributed = measured_properties(&graph, 20_000_000).unwrap();
+        // Distributed generation, measured in-stream: every field the
+        // stream can measure matches the analytic prediction…
+        let report = pipeline(&design, 4).collect_coo().unwrap();
         assert!(
-            predicted.exactly_matches(&distributed),
-            "distributed measurement disagrees with design for {self_loop:?}"
+            report.validation.is_exact_match(),
+            "streamed measurement disagrees with design for {self_loop:?}: {:?}",
+            report.validation.failures()
+        );
+        assert_eq!(
+            report.measured.degree_distribution,
+            design.degree_distribution()
+        );
+        // …and the triangles, counted on the assembled output, do too.
+        let assembled = report.assemble();
+        assert_eq!(
+            Some(BigUint::from(count_triangles_coo(&assembled).unwrap())),
+            predicted.triangles,
+            "triangle count disagrees for {self_loop:?}"
         );
 
         // Assembled matrix, measured through the sparse substrate directly.
-        let assembled = graph.assemble();
         assert_eq!(
             self_loop_count(&assembled),
             0,
@@ -87,11 +96,10 @@ fn worker_count_is_an_implementation_detail() {
     // The paper's guarantee: the generated graph is a deterministic function
     // of the design, regardless of how many processors generate it.
     let design = KroneckerDesign::from_star_points(&[3, 5, 9, 16], SelfLoop::Leaf).unwrap();
-    let mut reference = generator(1).generate(&design).unwrap().assemble();
-    reference.sort();
+    let reference = generated(&design, 1);
+    assert_eq!(BigUint::from(reference.nnz() as u64), design.edges());
     for workers in [2usize, 3, 7, 16] {
-        let mut graph = generator(workers).generate(&design).unwrap().assemble();
-        graph.sort();
+        let graph = generated(&design, workers);
         assert_eq!(
             graph, reference,
             "graph content changed with {workers} workers"
@@ -102,9 +110,11 @@ fn worker_count_is_an_implementation_detail() {
 #[test]
 fn distributed_measurement_equals_assembled_measurement() {
     let design = KroneckerDesign::from_star_points(&[4, 5, 9, 16], SelfLoop::Centre).unwrap();
-    let graph = generator(6).generate(&design).unwrap();
-    let from_blocks = measured_degree_distribution(&graph);
-    let assembled = graph.assemble();
+    // Six workers' streaming histograms, merged…
+    let report = pipeline(&design, 6).collect_coo().unwrap();
+    let from_blocks = report.measured.degree_distribution.clone();
+    // …against the assembled matrix measured by the sparse substrate.
+    let assembled = report.assemble();
     let from_assembled = DegreeDistribution::from_histogram(&sparse_histogram(&assembled));
     assert_eq!(from_blocks, from_assembled);
     assert_eq!(from_blocks, design.degree_distribution());
@@ -114,9 +124,9 @@ fn distributed_measurement_equals_assembled_measurement() {
 fn per_worker_balance_is_within_one_b_triple() {
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9, 16], SelfLoop::None).unwrap();
     for workers in [2usize, 4, 8, 12] {
-        let graph = generator(workers).generate(&design).unwrap();
-        let balance = BalanceReport::of(&graph);
-        let c_nnz = graph.split.c_nnz.to_u64().unwrap();
+        let report = pipeline(&design, workers).count().unwrap();
+        let balance = BalanceReport::from_stats(&report.stats);
+        let c_nnz = report.split.unwrap().c_nnz.to_u64().unwrap();
         assert!(
             balance.is_balanced_within(c_nnz),
             "imbalance {} exceeds one B triple ({c_nnz} edges) with {workers} workers",
@@ -135,8 +145,8 @@ fn paper_scale_properties_do_not_require_generation() {
     assert_eq!(design.vertices().to_string(), "11177649600");
     assert_eq!(design.edges().to_string(), "1853002140758");
     assert_eq!(design.triangles().unwrap().to_string(), "6777007252427");
-    // And generation refuses politely instead of exhausting memory.
-    assert!(generator(4).generate(&design).is_err());
+    // And materialising it refuses politely instead of exhausting memory.
+    assert!(design.realize(20_000_000).is_err());
 }
 
 #[test]

@@ -1,85 +1,55 @@
-//! The pipeline is the single engine: every legacy entry point must be a
-//! pure re-plumbing of it.
+//! The pipeline is the single engine, and it reproduces the generation
+//! layer it replaced exactly.
 //!
-//! These tests pin `Pipeline` output bit-identical to the deprecated
-//! `ShardDriver::run_*` and `ParallelGenerator::generate().assemble()`
-//! wrappers across worker counts, chunk capacities, and every `SelfLoop`
-//! variant (deterministically and under proptest), verify that the shard
-//! files the two paths write are byte-for-byte identical, and round-trip
-//! the `RunManifest` JSON that every shard-producing run now emits.
+//! The materialising `ParallelGenerator`, the `ShardDriver::run_*` shard
+//! writers and the raw `stream_blocks_tsv` dump are gone; their outputs
+//! survive as golden checksums (`tests/common/golden.rs`).  These tests pin
+//! `Pipeline` to them across worker counts, chunk capacities, every
+//! `SelfLoop` variant and every shard format — assembled graphs, shard
+//! bytes, and the `MetricsReport` recorded in each manifest — check random
+//! two-star designs against the same goldens and the analytic degree
+//! distribution, and round-trip the `RunManifest` JSON every shard-producing
+//! run emits.
 
-// The deprecated wrappers are half of every comparison here.
-#![allow(deprecated)]
-
-use std::path::PathBuf;
+mod common;
 
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
-use extreme_graphs::gen::{DesignPipeline, DriverConfig, Pipeline, RunManifest};
-use extreme_graphs::sparse::CooMatrix;
-use extreme_graphs::{GeneratorConfig, KroneckerDesign, ParallelGenerator, SelfLoop, ShardDriver};
+use extreme_graphs::gen::{DesignPipeline, Pipeline, RunManifest};
+use extreme_graphs::{KroneckerDesign, SelfLoop};
+
+use common::golden::{self, DESIGNS, MAX_C_EDGES, WORKERS};
+use common::{files_checksum, metrics_checksum, sorted_checksum, unique_dir};
 
 const SELF_LOOPS: [SelfLoop; 3] = [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf];
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_pipeline_equivalence")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn pipeline(design: &KroneckerDesign, workers: usize, chunk: usize) -> DesignPipeline<'_> {
     Pipeline::for_design(design)
         .workers(workers)
-        .max_c_edges(200_000)
+        .max_c_edges(MAX_C_EDGES)
         .chunk_capacity(chunk)
-}
-
-fn driver(workers: usize, chunk: usize) -> ShardDriver {
-    ShardDriver::new(DriverConfig {
-        workers,
-        max_c_edges: 200_000,
-        chunk_capacity: chunk,
-        ..DriverConfig::default()
-    })
 }
 
 #[test]
 fn pipeline_blocks_equal_generator_blocks_bit_for_bit() {
-    for self_loop in SELF_LOOPS {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
-        for workers in [1usize, 3, 8] {
-            for chunk in [1usize, 64, 4096] {
-                let report = pipeline(&design, workers, chunk)
-                    .split_index(2)
-                    .collect_coo()
-                    .unwrap();
-                assert!(report.is_valid());
-
-                let legacy = ParallelGenerator::new(GeneratorConfig {
-                    workers,
-                    max_c_edges: 200_000,
-                    max_total_edges: 10_000_000,
-                })
-                .generate_with_split(&design, 2)
-                .unwrap();
-
-                // Same number of blocks, same per-worker edge counts…
-                assert_eq!(report.outputs.len(), legacy.blocks.len());
-                assert_eq!(
-                    report.stats.edges_per_worker,
-                    legacy.edges_per_worker(),
-                    "per-worker counts differ for {self_loop:?} w{workers} c{chunk}"
-                );
-                // …and identical assembled graphs, triple for triple.
-                let mut streamed = report.assemble();
-                let mut materialised = legacy.assemble();
-                streamed.sort();
-                materialised.sort();
-                assert_eq!(
-                    streamed, materialised,
-                    "pipeline differs from generator for {self_loop:?} w{workers} c{chunk}"
-                );
+    for (name, points, split) in DESIGNS {
+        for self_loop in SELF_LOOPS {
+            let design = KroneckerDesign::from_star_points(points, self_loop).unwrap();
+            let expected = common::golden(golden::SORTED_EDGES, &format!("{name}/{self_loop:?}"));
+            for workers in WORKERS {
+                for chunk in [1usize, 64, 4096] {
+                    let report = pipeline(&design, workers, chunk)
+                        .split_index(split)
+                        .collect_coo()
+                        .unwrap();
+                    assert!(report.is_valid());
+                    assert_eq!(report.outputs.len(), workers);
+                    assert_eq!(
+                        sorted_checksum(report.assemble()),
+                        expected,
+                        "pipeline differs from the generator for {name} {self_loop:?} \
+                         w{workers} c{chunk}"
+                    );
+                }
             }
         }
     }
@@ -87,81 +57,88 @@ fn pipeline_blocks_equal_generator_blocks_bit_for_bit() {
 
 #[test]
 fn pipeline_counts_equal_driver_counts() {
-    for self_loop in SELF_LOOPS {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
-        for workers in [1usize, 2, 5] {
-            let report = pipeline(&design, workers, 512)
-                .split_index(2)
-                .count()
-                .unwrap();
-            let legacy = driver(workers, 512).run_counting(&design, 2).unwrap();
-            assert_eq!(report.outputs, legacy.outputs);
-            assert_eq!(report.measured, legacy.measured);
-            assert_eq!(report.edge_count(), legacy.edge_count());
-            assert_eq!(
-                report.validation.is_exact_match(),
-                legacy.validate().is_exact_match()
-            );
+    for (name, points, split) in DESIGNS {
+        for self_loop in SELF_LOOPS {
+            let design = KroneckerDesign::from_star_points(points, self_loop).unwrap();
+            for workers in WORKERS {
+                let report = pipeline(&design, workers, 512)
+                    .split_index(split)
+                    .count()
+                    .unwrap();
+                assert!(report.validation.is_exact_match());
+                assert_eq!(report.edge_count().to_string(), design.edges().to_string());
+                assert_eq!(
+                    metrics_checksum(&report.metrics.records()),
+                    common::golden(
+                        golden::MANIFEST_METRICS,
+                        &format!("{name}/{self_loop:?}/w{workers}")
+                    ),
+                    "metrics differ from the driver's for {name} {self_loop:?} w{workers}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn shard_files_are_byte_identical_across_entry_points() {
-    let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-    for (format, ext) in [("binary", "kbk"), ("tsv", "tsv")] {
-        let via_pipeline = temp_dir(&format!("pipeline_{format}"));
-        let via_driver = temp_dir(&format!("driver_{format}"));
+    for (name, points, split) in DESIGNS {
+        for self_loop in SELF_LOOPS {
+            let design = KroneckerDesign::from_star_points(points, self_loop).unwrap();
+            for workers in WORKERS {
+                let key = format!("{name}/{self_loop:?}/w{workers}");
+                for chunk in [1usize, 7, 4096] {
+                    for format in ["tsv", "binary", "compressed"] {
+                        let dir = unique_dir(&format!("shards_{format}"));
+                        let run = pipeline(&design, workers, chunk).split_index(split);
+                        let report = match format {
+                            "tsv" => run.write_tsv(&dir),
+                            "binary" => run.write_binary(&dir),
+                            _ => run.write_compressed(&dir),
+                        }
+                        .unwrap();
+                        let files = report.files.as_ref().expect("file terminal");
+                        assert_eq!(
+                            files_checksum(&files.files),
+                            common::golden(golden::SHARD_BYTES, &format!("{key}/{format}")),
+                            "{format} shards of {key} c{chunk} differ from the driver's"
+                        );
+                        // The manifest on disk records the driver's metrics.
+                        let manifest =
+                            RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
+                        assert_eq!(manifest, report.manifest);
+                        assert_eq!(
+                            metrics_checksum(&manifest.metrics),
+                            common::golden(golden::MANIFEST_METRICS, &key),
+                            "{format} manifest metrics of {key} c{chunk}"
+                        );
+                        std::fs::remove_dir_all(&dir).ok();
+                    }
+                }
 
-        let (report, legacy_files) = if format == "binary" {
-            let report = pipeline(&design, 3, 512)
-                .split_index(1)
-                .write_binary(&via_pipeline)
-                .unwrap();
-            let (_, files) = driver(3, 512).run_binary(&design, 1, &via_driver).unwrap();
-            (report, files)
-        } else {
-            let report = pipeline(&design, 3, 512)
-                .split_index(1)
-                .write_tsv(&via_pipeline)
-                .unwrap();
-            let (_, files) = driver(3, 512).run_tsv(&design, 1, &via_driver).unwrap();
-            (report, files)
-        };
-
-        let pipeline_files = report.files.as_ref().expect("file terminal");
-        assert_eq!(pipeline_files.files.len(), legacy_files.files.len());
-        for (a, b) in pipeline_files.files.iter().zip(legacy_files.files.iter()) {
-            assert_eq!(a.file_name(), b.file_name(), "shard naming must not change");
-            assert_eq!(a.extension().and_then(|e| e.to_str()), Some(ext));
-            let left = std::fs::read(a).unwrap();
-            let right = std::fs::read(b).unwrap();
-            assert_eq!(left, right, "{format} shard {a:?} differs from {b:?}");
+                // The raw product, loops and all: what the removed
+                // `stream_blocks_tsv` dumped.
+                let dir = unique_dir("shards_raw_tsv");
+                let report = pipeline(&design, workers, 4096)
+                    .split_index(split)
+                    .raw_product()
+                    .write_tsv(&dir)
+                    .unwrap();
+                assert_eq!(
+                    files_checksum(&report.files.unwrap().files),
+                    common::golden(golden::SHARD_BYTES, &format!("{key}/raw_tsv")),
+                    "raw TSV shards of {key}"
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
         }
-
-        // Both entry points emit the same manifest (modulo the paths and
-        // wall-clock timing, which necessarily differ).
-        let mut from_pipeline =
-            RunManifest::read_from(&via_pipeline.join(MANIFEST_FILE_NAME)).unwrap();
-        let mut from_driver = RunManifest::read_from(&via_driver.join(MANIFEST_FILE_NAME)).unwrap();
-        assert_eq!(from_pipeline, report.manifest);
-        from_pipeline.seconds = 0.0;
-        from_driver.seconds = 0.0;
-        from_pipeline.directory = None;
-        from_driver.directory = None;
-        from_pipeline.outputs.clear();
-        from_driver.outputs.clear();
-        assert_eq!(from_pipeline, from_driver);
-
-        std::fs::remove_dir_all(&via_pipeline).ok();
-        std::fs::remove_dir_all(&via_driver).ok();
     }
 }
 
 #[test]
 fn every_shard_producing_run_emits_a_round_tripping_manifest() {
     let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Leaf).unwrap();
-    let dir = temp_dir("manifest_round_trip");
+    let dir = unique_dir("manifest_round_trip");
     let report = pipeline(&design, 4, 2048)
         .split_index(2)
         .write_binary(&dir)
@@ -196,7 +173,7 @@ fn every_shard_producing_run_emits_a_round_tripping_manifest() {
 #[test]
 fn corrupt_shard_errors_name_the_failing_file() {
     let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
-    let dir = temp_dir("corrupt_named");
+    let dir = unique_dir("corrupt_named");
     let report = pipeline(&design, 2, 512)
         .split_index(1)
         .write_binary(&dir)
@@ -243,29 +220,18 @@ mod random_designs {
                 .unwrap();
             prop_assert!(report.is_valid());
 
-            // Legacy path 1: the materialising generator.
-            let generated = ParallelGenerator::new(GeneratorConfig {
-                workers,
-                max_c_edges: 200_000,
-                max_total_edges: 1_000_000,
-            })
-            .generate_with_split(&design, 1)
-            .unwrap();
-
-            // Legacy path 2: the shard driver's COO sinks.
-            let run = driver(workers, chunk).run_coo(&design, 1).unwrap();
-            let mut via_driver = CooMatrix::new(run.vertices, run.vertices);
-            for block in &run.outputs {
-                via_driver.append(block).unwrap();
-            }
-
-            let mut via_pipeline = report.assemble();
-            let mut via_generator = generated.assemble();
-            via_pipeline.sort();
-            via_generator.sort();
-            via_driver.sort();
-            prop_assert_eq!(&via_pipeline, &via_generator);
-            prop_assert_eq!(&via_pipeline, &via_driver);
+            // Both legacy paths — the materialising generator and the
+            // shard driver's COO sinks — assembled to this graph…
+            let key = format!("{left_points}x{right_points}/{self_loop:?}");
+            prop_assert_eq!(
+                sorted_checksum(report.assemble()),
+                common::golden(golden::TWO_STAR_SORTED_EDGES, &key)
+            );
+            // …and the analytic degree distribution, point for point.
+            prop_assert_eq!(
+                &report.measured.degree_distribution,
+                &design.degree_distribution()
+            );
 
             // And the manifest of any run round-trips through JSON.
             prop_assert_eq!(

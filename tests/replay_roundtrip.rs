@@ -9,6 +9,8 @@
 //! plain runs, and both histogram modes.  Corrupt and missing shards must
 //! fail with errors naming the offending file.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
 use extreme_graphs::core::CoreError;
@@ -16,13 +18,7 @@ use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
 use extreme_graphs::gen::{Pipeline, ReplaySource, RunManifest, RunReport};
 use extreme_graphs::{KroneckerDesign, SelfLoop};
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_replay_roundtrip")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use common::unique_dir;
 
 fn generate(dir: &Path, binary: bool, workers: usize) -> RunReport<PathBuf> {
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
@@ -57,7 +53,7 @@ fn replay(dir: &Path, workers: usize) -> RunReport<u64> {
 #[test]
 fn replayed_metrics_are_bit_identical_across_formats() {
     for (binary, label) in [(false, "tsv"), (true, "binary")] {
-        let dir = temp_dir(&format!("identical_{label}"));
+        let dir = unique_dir(&format!("identical_{label}"));
         let generated = generate(&dir, binary, 4);
         let replayed = replay(&dir, 4);
 
@@ -87,7 +83,7 @@ fn replayed_metrics_are_bit_identical_across_formats() {
 
 #[test]
 fn permuted_shards_replay_to_the_same_invariant_metrics() {
-    let dir = temp_dir("permuted");
+    let dir = unique_dir("permuted");
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Leaf).unwrap();
     let generated = Pipeline::for_design(&design)
         .workers(3)
@@ -105,7 +101,7 @@ fn permuted_shards_replay_to_the_same_invariant_metrics() {
 
 #[test]
 fn worker_count_changes_balance_but_nothing_else() {
-    let dir = temp_dir("other_workers");
+    let dir = unique_dir("other_workers");
     let generated = generate(&dir, true, 4);
     // Replaying 4 shards on 2 workers: the graph-level metrics still match;
     // only the per-worker balance sheet reflects the new layout.
@@ -128,7 +124,7 @@ fn worker_count_changes_balance_but_nothing_else() {
 
 #[test]
 fn shared_histogram_mode_replays_identically_too() {
-    let dir = temp_dir("shared_mode");
+    let dir = unique_dir("shared_mode");
     let generated = generate(&dir, true, 3);
     let source = ReplaySource::from_directory(&dir).unwrap();
     let report = Pipeline::for_source(source)
@@ -143,7 +139,7 @@ fn shared_histogram_mode_replays_identically_too() {
 #[test]
 fn corrupt_shards_fail_the_replay_naming_the_file() {
     for (binary, label) in [(false, "tsv"), (true, "binary")] {
-        let dir = temp_dir(&format!("corrupt_{label}"));
+        let dir = unique_dir(&format!("corrupt_{label}"));
         let _ = generate(&dir, binary, 3);
         let victim = dir.join(if binary {
             "block_00001.kbk"
@@ -170,7 +166,7 @@ fn corrupt_shards_fail_the_replay_naming_the_file() {
 
 #[test]
 fn missing_shards_fail_the_replay_naming_the_file() {
-    let dir = temp_dir("missing");
+    let dir = unique_dir("missing");
     let _ = generate(&dir, true, 3);
     std::fs::remove_file(dir.join("block_00002.kbk")).unwrap();
     let source = ReplaySource::from_directory(&dir).unwrap();
@@ -185,8 +181,8 @@ fn missing_shards_fail_the_replay_naming_the_file() {
 
 #[test]
 fn replay_manifest_round_trips_with_metric_records() {
-    let dir = temp_dir("replay_manifest");
-    let out = temp_dir("replay_manifest_out");
+    let dir = unique_dir("replay_manifest");
+    let out = unique_dir("replay_manifest_out");
     let generated = generate(&dir, true, 2);
     // Replay → re-shard to TSV: format conversion without regeneration,
     // emitting a fresh manifest (metrics included) next to the new shards.
